@@ -10,16 +10,17 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use clk_cts::{Testcase, TestcaseKind};
-use clk_delay::{NetTiming, RcTree};
+use clk_delay::{NetTiming, RcTree, WireModel};
 use clk_geom::{Point, Rect};
 use clk_liberty::{CornerId, Library, StdCorners, WireRc};
 use clk_lp::{Problem, RowKind};
 use clk_netlist::Floorplan;
 use clk_obs::{Level, Obs, ObsConfig};
 use clk_route::{rsmt, single_trunk, WireTree};
-use clk_skewopt::predictor::move_features;
+use clk_skewopt::local::{Ranker, ScoreCtx};
+use clk_skewopt::predictor::{move_features, Topo};
 use clk_skewopt::{enumerate_moves, MoveConfig};
-use clk_sta::Timer;
+use clk_sta::{alpha_factors, pair_skews, Timer};
 
 fn pins(n: usize) -> (Point, Vec<Point>) {
     let mut seed = 42u64;
@@ -180,6 +181,22 @@ fn bench_predictor(c: &mut Criterion) {
     let mv = moves[moves.len() / 2];
     g.bench_function("move_features_one_corner", |b| {
         b.iter(|| move_features(&tc.tree, &tc.lib, CornerId(0), &timing, &mv, &mcfg));
+    });
+    // one full local-phase scoring pass on a representative input: every
+    // enumerated move of the 96-sink CLS1v1 tree, all corners, with the
+    // per-iteration net tables built
+    let tc = Testcase::generate(TestcaseKind::Cls1v1, 96, 2015);
+    let timings = Timer::golden().analyze_all(&tc.tree, &tc.lib);
+    let pairs = tc.tree.sink_pairs().to_vec();
+    let skews: Vec<Vec<f64>> = timings.iter().map(|t| pair_skews(t, &pairs)).collect();
+    let alphas = alpha_factors(&skews);
+    let moves = enumerate_moves(&tc.tree, &tc.lib, &mcfg, None);
+    let ranker = Ranker::Analytic(Topo::Flute, WireModel::D2m);
+    g.bench_function("score_all_moves_96", |b| {
+        b.iter(|| {
+            let ctx = ScoreCtx::new(&tc.tree, &tc.lib, &timings, &pairs, &alphas, &mcfg, &moves);
+            ctx.gains(&moves, ranker)
+        });
     });
     g.finish();
 }

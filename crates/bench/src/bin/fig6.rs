@@ -14,11 +14,10 @@ use clk_bench::{ExpArgs, Stopwatch};
 use clk_cts::{Testcase, TestcaseKind};
 use clk_delay::WireModel;
 use clk_netlist::NodeId;
-use clk_skewopt::local::Ranker;
+use clk_skewopt::local::{Ranker, ScoreCtx};
 use clk_skewopt::predictor::Topo;
 use clk_skewopt::{
-    apply_move, enumerate_moves, predict_move_gain, DeltaLatencyModel, ModelKind, Move, MoveConfig,
-    TrainConfig,
+    apply_move, enumerate_moves, DeltaLatencyModel, ModelKind, Move, MoveConfig, TrainConfig,
 };
 use clk_sta::{alpha_factors, pair_skews, variation_report, Timer};
 
@@ -114,27 +113,29 @@ fn main() {
         print!(" {name:>13}");
     }
     println!();
-    // rank each buffer's moves once per ranker
+    // rank each buffer's moves once per ranker, all from one scoring
+    // context over every ranked move
+    let ranked_moves: Vec<Move> = cases
+        .iter()
+        .flat_map(|(b, _, _)| per_buffer[b].iter().copied())
+        .collect();
+    let ctx = ScoreCtx::new(
+        &tc.tree,
+        &tc.lib,
+        &timings,
+        &pairs,
+        &alphas,
+        &mcfg,
+        &ranked_moves,
+    );
     let mut ranked: Vec<Vec<Vec<usize>>> = Vec::new(); // [ranker][case] -> move order
     for (_, ranker) in &rankers {
         let mut per_case = Vec::new();
         for (b, _, _) in &cases {
             let moves = &per_buffer[b];
-            let mut cache = BTreeMap::new();
-            let mut scored: Vec<(f64, usize)> = moves
-                .iter()
-                .enumerate()
-                .map(|(i, mv)| {
-                    (
-                        predict_move_gain(
-                            &tc.tree, &tc.lib, &timings, &pairs, &alphas, mv, &mcfg, *ranker,
-                            &mut cache,
-                        ),
-                        i,
-                    )
-                })
-                .collect();
-            scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite"));
+            let mut scored: Vec<(f64, usize)> =
+                ctx.gains(moves, *ranker).into_iter().zip(0..).collect();
+            scored.sort_by(|a, b| b.0.total_cmp(&a.0));
             per_case.push(scored.into_iter().map(|(_, i)| i).collect::<Vec<usize>>());
         }
         ranked.push(per_case);

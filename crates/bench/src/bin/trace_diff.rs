@@ -8,9 +8,11 @@
 //! and writes a `profile.json` snapshot plus a folded-stack
 //! `flame.folded` (speedscope / inferno compatible). It enforces the
 //! attribution coverage floor (children of `lp.solve`, worker
-//! `local.eval` subtrees vs `local.batch` wall) and the metrics
-//! dictionary, and — with `--overhead` — measures and gates the cost
-//! of profiling itself (suite wall with the profiler on vs off).
+//! `local.eval` subtrees vs `local.batch` wall, worker
+//! `local.predict.{features,model,rescore}` scopes vs `local.predict`
+//! wall) and the metrics dictionary, and — with `--overhead` — measures
+//! and gates the cost of profiling itself (suite wall with the profiler
+//! on vs off).
 //!
 //! *Diff mode* (`--base A --cur B`) compares two snapshots with
 //! `clk-qor` noise-band verdicts: counters and attribution *counts*
@@ -374,22 +376,37 @@ fn coverage_failures(cp: &CaseProfile, tol: f64) -> Vec<String> {
             }
         }
     }
-    if let Some(batch) = cp.profile.find("local.batch") {
-        if batch.total_ms() >= COVERAGE_MIN_MS {
-            // worker `local.eval` subtrees root at top level; with
-            // parallel workers their summed wall may exceed the batch
-            // wall, which still counts as full coverage
-            let eval_ns = cp.profile.total_ns_of("local.eval");
-            let cov = eval_ns as f64 / batch.total_ns as f64;
-            println!("  {}: local.batch coverage {:.1}%", cp.id, cov * 100.0);
-            if cov < tol {
-                fails.push(format!(
-                    "{}: local.batch attribution {:.1}% < {:.0}%",
-                    cp.id,
-                    cov * 100.0,
-                    tol * 100.0
-                ));
-            }
+    // worker subtrees root at top level; with parallel workers their
+    // summed wall may exceed the coordinator's wall, which still counts as
+    // full coverage
+    let worker_scopes: [(&str, &[&str]); 2] = [
+        ("local.batch", &["local.eval"]),
+        (
+            "local.predict",
+            &[
+                "local.predict.features",
+                "local.predict.model",
+                "local.predict.rescore",
+            ],
+        ),
+    ];
+    for (parent, children) in worker_scopes {
+        let Some(node) = cp.profile.find(parent) else {
+            continue;
+        };
+        if node.total_ms() < COVERAGE_MIN_MS {
+            continue;
+        }
+        let child_ns: u64 = children.iter().map(|c| cp.profile.total_ns_of(c)).sum();
+        let cov = child_ns as f64 / node.total_ns as f64;
+        println!("  {}: {parent} coverage {:.1}%", cp.id, cov * 100.0);
+        if cov < tol {
+            fails.push(format!(
+                "{}: {parent} attribution {:.1}% < {:.0}%",
+                cp.id,
+                cov * 100.0,
+                tol * 100.0
+            ));
         }
     }
     fails

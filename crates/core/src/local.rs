@@ -3,21 +3,23 @@
 //! top `R` in parallel worker threads, accept what the golden timer
 //! confirms, repeat until the predictor sees no improving move.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use clk_liberty::{CornerId, Library};
-use clk_netlist::{ClockTree, Floorplan, NodeId, SinkPair, TreeError};
-use clk_obs::{kv, LedgerRecord, Level};
+use clk_netlist::{ClockTree, Floorplan, NodeId, SinkIndex, SinkPair, TreeError};
+use clk_obs::{kv, LedgerRecord, Level, Profiler};
 use clk_sta::{
     alpha_factors, local_skew_ps, try_pair_skews, variation_report, CornerTiming, Timer,
     TimingError,
 };
 
 use crate::fault::{
-    FaultCtx, FaultKind, FaultSite, FlowError, PhaseBudget, PhaseProgress, RecoveryAction, TreeTxn,
+    FaultCtx, FaultKind, FaultPlan, FaultSite, FlowError, PhaseBudget, PhaseProgress,
+    RecoveryAction, TreeTxn,
 };
 use crate::moves::{apply_move, enumerate_moves, touched_drivers, Move, MoveConfig};
-use crate::predictor::{move_features_with_sides, DeltaLatencyModel, Topo};
+use crate::predictor::{analytic_feature, DeltaLatencyModel, MoveEstimator, Scratch, Topo};
 use clk_delay::WireModel;
 
 /// How candidate moves are ranked before golden verification — the ML
@@ -54,11 +56,11 @@ pub struct LocalConfig {
     /// Budget of golden-timer evaluations (fair-comparison knob for the
     /// Fig. 8 baselines; effectively unlimited by default).
     pub max_golden_evals: usize,
-    /// Worker threads evaluating candidates per batch; `0` = one per
-    /// available core. QoR is byte-identical for every value: workers
+    /// Worker threads scoring moves and evaluating candidates; `0` = one
+    /// per available core. QoR is byte-identical for every value: workers
     /// only read the committed tree and score private clones, results
-    /// are scattered back by candidate index, and the commit decision
-    /// is taken sequentially in slot order.
+    /// are scattered back by move / candidate index, and the ranking and
+    /// commit decisions are taken sequentially in that order.
     pub workers: usize,
 }
 
@@ -133,6 +135,198 @@ enum CandidateFailure {
     Apply(TreeError),
     Timing(TimingError),
     Drc { violations: usize, baseline: usize },
+}
+
+/// A verified candidate: variation sum under the phase alphas, per-corner
+/// local skews, the sum under the ledger's α* (ledger runs only), and the
+/// trial tree when the candidate could win (improves within the guard).
+type CandidateResult = Result<(f64, Vec<f64>, Option<f64>, Option<ClockTree>), CandidateFailure>;
+
+/// Moves scored between two deadline polls: the coordinator acknowledges
+/// a cut within one stride.
+const SCORE_STRIDE: usize = 64;
+
+/// One slot's work for [`striped`]; each worker threads its own
+/// `Scratch` through its slots. A trait, not a closure, so that
+/// clk-analyze's name-based call graph reaches every job's body from the
+/// pool's one spawn site.
+trait SlotJob: Sync {
+    type Out: Send;
+    type Scratch: Default;
+    fn run_slot(&self, scratch: &mut Self::Scratch, i: usize) -> Self::Out;
+}
+
+/// Runs `job` on every slot `0..n` over `workers` threads: the calling
+/// thread is worker 0 and spawns the others. Worker `w` owns slots w,
+/// w+W, w+2W, ... — a fixed assignment, so which thread handles a slot
+/// never depends on scheduling — and results come back in slot order
+/// ([`in_slot_order`]). The caller polls `stop` once per multiple of
+/// `mark` below `n`, on its own thread and before its own first slot past
+/// that multiple, so the polls fall at the same slot counts for every
+/// worker count; once `stop` answers true every worker halts before its
+/// next slot and the pool returns `Err(mark multiple)`. A spawned worker
+/// that dies outside the job's own guard leaves its lane `None`.
+fn striped<J: SlotJob>(
+    n: usize,
+    workers: usize,
+    job: &J,
+    mark: usize,
+    mut stop: impl FnMut() -> bool,
+) -> Result<Vec<Option<Vec<J::Out>>>, usize> {
+    let width = workers.min(n).max(1);
+    let halt = AtomicBool::new(false);
+    let halt = &halt;
+    let (own, cut, mut lanes) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..width)
+            .map(|w| {
+                // clk-analyze: allow(A101) PROF_STACK is thread_local: each worker roots its own attribution subtree, no cross-thread sharing
+                scope.spawn(move || {
+                    let mut out = Vec::with_capacity(n.div_ceil(width));
+                    let mut scratch = J::Scratch::default();
+                    for i in (w..n).step_by(width) {
+                        if halt.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        out.push(job.run_slot(&mut scratch, i));
+                    }
+                    out
+                })
+            })
+            .collect();
+        let mut own = Vec::with_capacity(n.div_ceil(width));
+        let mut scratch = J::Scratch::default();
+        let mut next = mark;
+        let mut cut = None;
+        let mut poll_to = |end: usize, next: &mut usize| {
+            while cut.is_none() && *next < end {
+                if stop() {
+                    cut = Some(*next);
+                    halt.store(true, Ordering::SeqCst);
+                }
+                *next = next.saturating_add(mark);
+            }
+            cut.is_none()
+        };
+        for i in (0..n).step_by(width) {
+            if !poll_to(i + 1, &mut next) {
+                break;
+            }
+            own.push(job.run_slot(&mut scratch, i));
+        }
+        poll_to(n, &mut next);
+        let lanes: Vec<_> = handles.into_iter().map(|h| h.join().ok()).collect();
+        (own, cut, lanes)
+    });
+    match cut {
+        Some(m) => Err(m),
+        None => {
+            lanes.insert(0, Some(own));
+            Ok(lanes)
+        }
+    }
+}
+
+/// [`striped`]'s per-worker lanes as one result per slot, in slot order
+/// (`None` for a dead worker's slots).
+fn in_slot_order<T>(lanes: Vec<Option<Vec<T>>>, n: usize) -> impl Iterator<Item = Option<T>> {
+    let width = lanes.len().max(1);
+    let mut lanes: Vec<_> = lanes.into_iter().map(|l| l.map(Vec::into_iter)).collect();
+    (0..n).map(move |i| lanes.get_mut(i % width)?.as_mut()?.next())
+}
+
+/// Predicted gains of a pass of moves; a random ranker's ranks are drawn
+/// up front.
+struct ScoreJob<'a, 's> {
+    ctx: &'s ScoreCtx<'a>,
+    moves: &'s [Move],
+    ranker: Ranker<'s>,
+    drawn: Vec<f64>,
+}
+
+impl SlotJob for ScoreJob<'_, '_> {
+    type Out = f64;
+    type Scratch = ScoreScratch;
+    fn run_slot(&self, scratch: &mut ScoreScratch, i: usize) -> f64 {
+        match self.ranker {
+            Ranker::Random(_) => self.drawn[i],
+            _ => gain_in(self.ctx, &self.moves[i], self.ranker, scratch),
+        }
+    }
+}
+
+/// Golden verification of one batch of candidates. Each candidate is
+/// realized on a private clone of the committed tree and timed by
+/// cone-limited incremental re-propagation from the committed tree's
+/// per-corner analyses — bit-identical to a full golden re-analysis,
+/// just skipping the untouched cone.
+struct EvalJob<'a> {
+    tree: &'a ClockTree,
+    lib: &'a Library,
+    fp: &'a Floorplan,
+    mcfg: &'a MoveConfig,
+    batch: &'a [(f64, Move)],
+    timings: &'a [CornerTiming],
+    pairs: &'a [SinkPair],
+    alphas: &'a [f64],
+    star: Option<&'a [f64]>,
+    drc_baseline: usize,
+    /// The committed sum and the skew guard a winner must beat.
+    current_sum: f64,
+    guard: &'a [f64],
+    plan: Option<&'a FaultPlan>,
+    prof: Profiler,
+}
+
+impl SlotJob for EvalJob<'_> {
+    type Out = Option<CandidateResult>;
+    type Scratch = ();
+    /// Per-candidate isolation: a typed failure or a panic poisons this
+    /// slot only (`None` = panicked), and the committed tree is untouched
+    /// either way.
+    fn run_slot(&self, (): &mut (), i: usize) -> Self::Out {
+        let (prof, mv) = (&self.prof, &self.batch[i].1);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> CandidateResult {
+            // workers root their own attribution subtree (thread-scoped
+            // nesting)
+            let _eval_prof = prof.scope("local.eval");
+            if self.plan.is_some_and(|p| p.fire(FaultSite::WorkerPanic)) {
+                // clk-analyze: allow(A005) deliberate chaos-injection panic, absorbed by the phase transaction
+                panic!("chaos: injected worker panic");
+            }
+            let dirty = touched_drivers(self.tree, mv);
+            let mut trial = self.tree.clone();
+            {
+                let _g = prof.scope("apply");
+                apply_move(&mut trial, self.lib, self.fp, self.mcfg, mv)
+                    .map_err(CandidateFailure::Apply)?;
+            }
+            let sta_prof = prof.scope("golden_sta");
+            let analyses = Timer::golden()
+                .try_analyze_all_incremental(&trial, self.lib, self.timings, &dirty)
+                .map_err(CandidateFailure::Timing)?;
+            drop(sta_prof);
+            let _score_prof = prof.scope("score");
+            let drc: usize = analyses.iter().map(|t| t.violations().len()).sum();
+            if drc > self.drc_baseline {
+                return Err(CandidateFailure::Drc {
+                    violations: drc,
+                    baseline: self.drc_baseline,
+                });
+            }
+            let skews = analyses
+                .iter()
+                .map(|t| try_pair_skews(t, self.pairs))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(CandidateFailure::Timing)?;
+            let sum = variation_report(&skews, self.alphas, None).sum;
+            let locals: Vec<f64> = skews.iter().map(|s| local_skew_ps(s)).collect();
+            let sum_star = self.star.map(|sa| variation_report(&skews, sa, None).sum);
+            // only a possible winner keeps its trial tree
+            let wins = sum < self.current_sum && locals.iter().zip(self.guard).all(|(l, g)| l <= g);
+            Ok((sum, locals, sum_star, wins.then_some(trial)))
+        }))
+        .ok()
+    }
 }
 
 /// Runs Algorithm 2 on `tree` in place.
@@ -338,39 +532,57 @@ pub fn local_optimize_checked(
             break;
         }
         // ---- rank all candidates by predicted variation reduction ----
+        // striped over the worker pool; the coordinator polls the
+        // deadline every SCORE_STRIDE moves, at the same move counts for
+        // every worker count; random ranks are drawn here, in move order
         let predict_prof = obs.prof_scope("local.predict");
-        let mut scored: Vec<(f64, Move)> = Vec::with_capacity(moves.len());
-        let mut subtree_cache: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-        for (mv_no, mv) in moves.into_iter().enumerate() {
-            if mv_no % 64 == 0 && mv_no > 0 && ctx.out_of_time() {
+        let sc = ScoreCtx::new(tree, lib, &timings, &pairs, &alphas, &cfg.move_cfg, &moves)
+            .with_profiler(obs.profiler());
+        let job = ScoreJob {
+            ctx: &sc,
+            moves: &moves,
+            ranker,
+            drawn: match ranker {
+                Ranker::Random(_) => moves.iter().map(|_| (xorshift() % 1_000) as f64).collect(),
+                _ => Vec::new(),
+            },
+        };
+        let gains = striped(moves.len(), workers, &job, SCORE_STRIDE, || {
+            ctx.out_of_time()
+        });
+        drop(job);
+        drop(sc);
+        let gains = match gains {
+            Ok(g) => g,
+            Err(cut) => {
                 ctx.record_interrupt(
                     "local",
                     RecoveryAction::Degrade,
                     format!(
-                        "deadline cut scoring candidate {mv_no} at iteration {iter}; returning best-so-far"
+                        "deadline cut scoring candidate {cut} at iteration {iter}; returning best-so-far"
                     ),
                 );
                 iter_span.record("outcome", "interrupted");
                 interrupted = true;
                 break 'outer;
             }
-            let gain = match ranker {
-                Ranker::Random(_) => (xorshift() % 1_000) as f64,
-                _ => predict_move_gain(
-                    tree,
-                    lib,
-                    &timings,
-                    &pairs,
-                    &alphas,
-                    &mv,
-                    &cfg.move_cfg,
-                    ranker,
-                    &mut subtree_cache,
-                ),
-            };
-            if gain > cfg.min_predicted_gain_ps {
-                scored.push((gain, mv));
+        };
+        let mut scored: Vec<(f64, Move)> = Vec::new();
+        let mut unranked = 0;
+        for (g, mv) in in_slot_order(gains, moves.len()).zip(moves) {
+            match g {
+                Some(g) if g > cfg.min_predicted_gain_ps => scored.push((g, mv)),
+                Some(_) => {}
+                None => unranked += 1,
             }
+        }
+        if unranked > 0 {
+            ctx.record(
+                "local",
+                FaultKind::WorkerPanic,
+                RecoveryAction::Skip,
+                format!("{unranked} moves left unranked by a dead scoring worker"),
+            );
         }
         drop(predict_prof);
         iter_span.record("predicted_positive", scored.len() as u64);
@@ -424,112 +636,31 @@ pub fn local_optimize_checked(
                 ],
             );
             let _batch_prof = obs.prof_scope("local.batch");
-            // Realize and golden-time the candidates on a striped pool
-            // of `workers` scoped threads (the paper uses R threads;
-            // with one worker this degrades gracefully to sequential
-            // evaluation). Worker `w` owns candidate slots w, w+W,
-            // w+2W, ... — a fixed assignment, so which thread evaluates
-            // a candidate never depends on scheduling. Each candidate
-            // is wrapped in its own `catch_unwind`: a typed failure or
-            // a panic poisons that slot only, and the committed tree is
-            // untouched either way because workers only ever mutate
-            // their private clone. Timing is cone-limited incremental
-            // re-propagation from the committed tree's per-corner
-            // analyses — bit-identical to a full golden re-analysis,
-            // just skipping the untouched cone.
-            let pairs_ref = &pairs;
-            let alphas_ref = &alphas;
-            let timings_ref = &timings;
-            let plan = ctx.plan;
-            let prof = obs.profiler();
-            type CandidateResult =
-                Result<(f64, Vec<f64>, Option<f64>, ClockTree), CandidateFailure>;
-            /// slot-indexed results one worker's stripe produced
-            type Stripe = Vec<(usize, Option<CandidateResult>)>;
-            let n_workers = workers.min(batch.len()).max(1);
-            let mut results: Vec<Option<CandidateResult>> =
-                (0..batch.len()).map(|_| None).collect();
-            let per_worker: Vec<Option<Stripe>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n_workers)
-                    .map(|w| {
-                        let tree_ref: &ClockTree = tree;
-                        let prof = prof.clone();
-                        // clk-analyze: allow(A101) PROF_STACK is thread_local: each worker roots its own attribution subtree, no cross-thread sharing
-                        scope.spawn(move || {
-                            let mut out: Stripe =
-                                Vec::with_capacity(batch.len().div_ceil(n_workers));
-                            for i in (w..batch.len()).step_by(n_workers) {
-                                let mv = &batch[i].1;
-                                // per-candidate isolation: a panic
-                                // poisons this slot, not the stripe
-                                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                    || -> CandidateResult {
-                                        // workers root their own
-                                        // attribution subtree
-                                        // (thread-scoped nesting)
-                                        let _eval_prof = prof.scope("local.eval");
-                                        if plan.is_some_and(|p| p.fire(FaultSite::WorkerPanic)) {
-                                            // clk-analyze: allow(A005) deliberate chaos-injection panic, absorbed by the phase transaction
-                                            panic!("chaos: injected worker panic");
-                                        }
-                                        let dirty = touched_drivers(tree_ref, mv);
-                                        let mut trial = tree_ref.clone();
-                                        {
-                                            let _g = prof.scope("apply");
-                                            apply_move(&mut trial, lib, fp, &cfg.move_cfg, mv)
-                                                .map_err(CandidateFailure::Apply)?;
-                                        }
-                                        let sta_prof = prof.scope("golden_sta");
-                                        let analyses = Timer::golden()
-                                            .try_analyze_all_incremental(
-                                                &trial,
-                                                lib,
-                                                timings_ref,
-                                                &dirty,
-                                            )
-                                            .map_err(CandidateFailure::Timing)?;
-                                        drop(sta_prof);
-                                        let _score_prof = prof.scope("score");
-                                        let drc: usize =
-                                            analyses.iter().map(|t| t.violations().len()).sum();
-                                        if drc > drc_baseline {
-                                            return Err(CandidateFailure::Drc {
-                                                violations: drc,
-                                                baseline: drc_baseline,
-                                            });
-                                        }
-                                        let skews = analyses
-                                            .iter()
-                                            .map(|t| try_pair_skews(t, pairs_ref))
-                                            .collect::<Result<Vec<_>, _>>()
-                                            .map_err(CandidateFailure::Timing)?;
-                                        let sum = variation_report(&skews, alphas_ref, None).sum;
-                                        let locals: Vec<f64> =
-                                            skews.iter().map(|s| local_skew_ps(s)).collect();
-                                        let sum_star =
-                                            star.map(|sa| variation_report(&skews, sa, None).sum);
-                                        Ok((sum, locals, sum_star, trial))
-                                    },
-                                ))
-                                .ok();
-                                out.push((i, r));
-                            }
-                            out
-                        })
-                    })
+            // golden verification on the striped pool (the paper uses R
+            // threads; one worker degrades to sequential evaluation)
+            let job = EvalJob {
+                tree,
+                lib,
+                fp,
+                mcfg: &cfg.move_cfg,
+                batch,
+                timings: &timings,
+                pairs: &pairs,
+                alphas: &alphas,
+                star,
+                drc_baseline,
+                current_sum,
+                guard: &guard,
+                plan: ctx.plan,
+                prof: obs.profiler(),
+            };
+            // a dead worker's slots (None) count as panicked; no polls
+            // inside a batch
+            let lanes = striped(batch.len(), workers, &job, usize::MAX, || false);
+            let results: Vec<Option<CandidateResult>> =
+                in_slot_order(lanes.unwrap_or_default(), batch.len())
+                    .map(Option::flatten)
                     .collect();
-                // a worker thread dying outside the per-candidate
-                // guard leaves its stripe's slots None (counted as
-                // panicked), never aborts the phase
-                handles.into_iter().map(|h| h.join().ok()).collect()
-            });
-            // scatter by slot index: result order is the candidate
-            // order, independent of worker count or completion order
-            for stripe in per_worker.into_iter().flatten() {
-                for (i, r) in stripe {
-                    results[i] = r;
-                }
-            }
             report.golden_evals += batch.len();
             obs.count("local.golden_evals", batch.len() as u64);
 
@@ -626,9 +757,10 @@ pub fn local_optimize_checked(
                 );
             }
             if let Some((i, sum)) = best {
-                let Some(Some(Ok((_, _, win_star, trial)))) = results.into_iter().nth(i) else {
-                    // clk-analyze: allow(A005) unreachable by construction: best index points at an Ok result
-                    unreachable!("best index points at an Ok result");
+                let Some(Some(Ok((_, _, win_star, Some(trial))))) = results.into_iter().nth(i)
+                else {
+                    // clk-analyze: allow(A005) unreachable by construction: best index points at an Ok result, which kept its trial
+                    unreachable!("best index points at an Ok result with its trial");
                 };
                 // transactional commit: the verified trial replaces the
                 // tree only if it holds up structurally; otherwise the
@@ -743,101 +875,186 @@ pub fn local_optimize_checked(
     Ok(report)
 }
 
+/// Everything one iteration's move scoring shares, built once from the
+/// committed tree and its timings and dropped with the iteration: the
+/// estimator's net tables and the Euler-tour sink intervals with the
+/// sink→pair index.
+#[derive(Debug)]
+pub struct ScoreCtx<'a> {
+    est: MoveEstimator<'a>,
+    timings: &'a [CornerTiming],
+    pairs: &'a [SinkPair],
+    alphas: &'a [f64],
+    sinks: SinkIndex,
+    prof: Profiler,
+}
+
+impl<'a> ScoreCtx<'a> {
+    /// The context for scoring `moves` on `tree`, with its per-corner
+    /// `timings` and the `pairs` (and their `alphas`) to re-score.
+    pub fn new(
+        tree: &'a ClockTree,
+        lib: &'a Library,
+        timings: &'a [CornerTiming],
+        pairs: &'a [SinkPair],
+        alphas: &'a [f64],
+        mcfg: &'a MoveConfig,
+        moves: &[Move],
+    ) -> Self {
+        let corners = timings
+            .iter()
+            .enumerate()
+            .map(|(k, t)| (CornerId(k), t))
+            .collect();
+        ScoreCtx {
+            est: MoveEstimator::new(tree, lib, mcfg, corners).with_tables(moves),
+            timings,
+            pairs,
+            alphas,
+            sinks: SinkIndex::new(tree, pairs),
+            prof: Profiler::disabled(),
+        }
+    }
+
+    /// The predicted gain of every move in `moves` under `ranker`, in
+    /// order, on the calling thread: [`predict_move_gain`] with one set
+    /// of reusable buffers.
+    pub fn gains(&self, moves: &[Move], ranker: Ranker<'_>) -> Vec<f64> {
+        let mut sc = ScoreScratch::default();
+        moves
+            .iter()
+            .map(|mv| gain_in(self, mv, ranker, &mut sc))
+            .collect()
+    }
+
+    /// Times scoring under `prof`'s `local.predict.{features,model,rescore}`
+    /// scopes.
+    #[must_use]
+    pub fn with_profiler(mut self, prof: Profiler) -> Self {
+        self.prof = prof;
+        self
+    }
+
+    /// Applies per-corner `(subtree root, delta ps)` impacts to the sinks
+    /// below each root and returns the summed variation reduction of the
+    /// pairs they touch.
+    fn rescore(&self, impacts: &[Vec<(NodeId, f64)>], sc: &mut ScoreScratch) -> f64 {
+        let nk = impacts.len();
+        let ScoreScratch {
+            delta,
+            touched,
+            runs,
+            ..
+        } = sc;
+        delta.resize(self.sinks.sink_count() * nk, 0.0);
+        touched.clear();
+        touched.resize(self.pairs.len().div_ceil(64), 0);
+        // each nonzero impact added to the sinks of its Euler run, in
+        // impact order per sink and corner
+        runs.clear();
+        for (k, imp) in impacts.iter().enumerate() {
+            for &(root, d) in imp.iter().filter(|&&(_, d)| d != 0.0) {
+                let run = self.sinks.subtree(root);
+                for s in run.clone() {
+                    delta[s * nk + k] += d;
+                }
+                runs.push(run);
+            }
+        }
+        // the pairs touching any impacted sink, as a bitmap over pair
+        // index (corners share roots: each run is walked once)
+        runs.sort_unstable_by_key(|r| (r.start, r.end));
+        runs.dedup();
+        for s in runs.iter().flat_map(Clone::clone) {
+            for &pi in self.sinks.pairs_of(s) {
+                touched[pi as usize / 64] |= 1 << (pi % 64);
+            }
+        }
+        let d = |s: NodeId, k: usize| self.sinks.position(s).map_or(0.0, |s| delta[s * nk + k]);
+        // ascending pair order: the float sum of a scan over every pair
+        let mut gain = 0.0;
+        for (w, &word) in touched.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let pi = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (p, t, a) = (&self.pairs[pi], self.timings, self.alphas);
+                let (mut v_before, mut v_after): (f64, f64) = (0.0, 0.0);
+                for k in 0..nk {
+                    for k2 in (k + 1)..nk {
+                        let s_k = t[k].arrival_ps(p.a) - t[k].arrival_ps(p.b);
+                        let s_k2 = t[k2].arrival_ps(p.a) - t[k2].arrival_ps(p.b);
+                        v_before = v_before.max((a[k] * s_k - a[k2] * s_k2).abs());
+                        let ns_k = s_k + d(p.a, k) - d(p.b, k);
+                        let ns_k2 = s_k2 + d(p.a, k2) - d(p.b, k2);
+                        v_after = v_after.max((a[k] * ns_k - a[k2] * ns_k2).abs());
+                    }
+                }
+                gain += v_before - v_after;
+            }
+        }
+        // leave the delta table zeroed for the next move
+        for s in runs.iter().flat_map(Clone::clone) {
+            delta[s * nk..(s + 1) * nk].fill(0.0);
+        }
+        gain
+    }
+}
+
 /// Predicted reduction of the variation sum for one move: apply the
 /// predicted per-subtree latency deltas to the affected sinks and re-score
 /// the affected pairs. Public so experiments (Fig. 6) can rank moves with
-/// any [`Ranker`] outside the full Algorithm-2 loop.
-#[allow(clippy::too_many_arguments)]
-pub fn predict_move_gain(
-    tree: &ClockTree,
-    lib: &Library,
-    timings: &[CornerTiming],
-    pairs: &[SinkPair],
-    alphas: &[f64],
-    mv: &Move,
-    mcfg: &MoveConfig,
-    ranker: Ranker<'_>,
-    subtree_cache: &mut BTreeMap<NodeId, Vec<NodeId>>,
-) -> f64 {
-    let n_corners = timings.len();
+/// any [`Ranker`] outside the full Algorithm-2 loop. [`Ranker::Random`]
+/// predicts nothing and returns 0.0; its ranks are drawn by the caller.
+pub fn predict_move_gain(ctx: &ScoreCtx<'_>, mv: &Move, ranker: Ranker<'_>) -> f64 {
+    gain_in(ctx, mv, ranker, &mut ScoreScratch::default())
+}
+
+/// A scoring worker's reusable buffers.
+#[derive(Debug, Default)]
+struct ScoreScratch {
+    est: Scratch,
+    /// Per-sink, per-corner latency deltas of one move, by Euler position
+    /// (all zero between moves).
+    delta: Vec<f64>,
+    /// The Euler runs of one move's nonzero impacts.
+    runs: Vec<Range<usize>>,
+    /// Bitmap of the pairs one move touches, by pair index.
+    touched: Vec<u64>,
+}
+
+/// [`predict_move_gain`] with this thread's reusable buffers.
+fn gain_in(ctx: &ScoreCtx<'_>, mv: &Move, ranker: Ranker<'_>, sc: &mut ScoreScratch) -> f64 {
+    let per_corner = {
+        let _g = ctx.prof.scope("local.predict.features");
+        ctx.est.estimate_in(mv, &mut sc.est)
+    };
     // per-corner impact sets: (subtree root, delta ps)
-    let mut impacts: Vec<Vec<(NodeId, f64)>> = Vec::with_capacity(n_corners);
-    for (k, timing) in timings.iter().enumerate() {
-        let corner = CornerId(k);
-        let (features, detail) = move_features_with_sides(tree, lib, corner, timing, mv, mcfg);
+    let model_prof = ctx.prof.scope("local.predict.model");
+    let mut impacts: Vec<Vec<(NodeId, f64)>> = Vec::with_capacity(per_corner.len());
+    for (k, (features, detail)) in per_corner.into_iter().enumerate() {
         let primary = match ranker {
-            Ranker::Ml(model) => model.predict(corner, &features),
-            Ranker::Analytic(topo, wm) => {
-                let idx = match (topo, wm) {
-                    (Topo::Flute, WireModel::Elmore) => 0,
-                    (Topo::Flute, WireModel::D2m) => 1,
-                    (Topo::SingleTrunk, WireModel::Elmore) => 2,
-                    (Topo::SingleTrunk, WireModel::D2m) => 3,
-                };
-                features[idx]
-            }
-            // clk-analyze: allow(A005) unreachable by construction: random never predicts
-            Ranker::Random(_) => unreachable!("random never predicts"),
+            Ranker::Ml(model) => model.predict(CornerId(k), &features),
+            Ranker::Analytic(topo, wm) => features[analytic_feature(topo, wm)],
+            Ranker::Random(_) => return 0.0,
         };
         // keep the analytical *differential* structure between the
         // children, shifted so the mean matches the (calibrated) primary
         // prediction
         let correction = primary - detail.primary_delta;
-        let mut imp: Vec<(NodeId, f64)> = detail
-            .per_child
-            .iter()
-            .map(|&(c, d)| (c, d + correction))
-            .collect();
+        let mut imp = detail.per_child;
+        for (_, d) in &mut imp {
+            *d += correction;
+        }
         if imp.is_empty() {
             imp.push((mv.primary_node(), primary));
         }
         imp.extend(detail.side_effects);
         impacts.push(imp);
     }
-    // resolve to per-sink deltas
-    let mut sink_delta: BTreeMap<NodeId, Vec<f64>> = BTreeMap::new();
-    for (k, imp) in impacts.iter().enumerate() {
-        for &(root, delta) in imp {
-            if delta == 0.0 {
-                continue;
-            }
-            let sinks = subtree_cache.entry(root).or_insert_with(|| {
-                tree.sinks()
-                    .filter(|&s| tree.is_descendant(s, root))
-                    .collect()
-            });
-            for &s in sinks.iter() {
-                sink_delta.entry(s).or_insert_with(|| vec![0.0; n_corners])[k] += delta;
-            }
-        }
-    }
-    if sink_delta.is_empty() {
-        return 0.0;
-    }
-    // re-score affected pairs
-    let mut gain = 0.0;
-    for p in pairs {
-        let da = sink_delta.get(&p.a);
-        let db = sink_delta.get(&p.b);
-        if da.is_none() && db.is_none() {
-            continue;
-        }
-        let mut v_before: f64 = 0.0;
-        let mut v_after: f64 = 0.0;
-        for k in 0..n_corners {
-            for k2 in (k + 1)..n_corners {
-                let s_k = timings[k].arrival_ps(p.a) - timings[k].arrival_ps(p.b);
-                let s_k2 = timings[k2].arrival_ps(p.a) - timings[k2].arrival_ps(p.b);
-                v_before = v_before.max((alphas[k] * s_k - alphas[k2] * s_k2).abs());
-                let d = |m: Option<&Vec<f64>>, kk: usize| m.map_or(0.0, |v| v[kk]);
-                let ns_k = s_k + d(da, k) - d(db, k);
-                let ns_k2 = s_k2 + d(da, k2) - d(db, k2);
-                v_after = v_after.max((alphas[k] * ns_k - alphas[k2] * ns_k2).abs());
-            }
-        }
-        gain += v_before - v_after;
-    }
-    gain
+    drop(model_prof);
+    let _g = ctx.prof.scope("local.predict.rescore");
+    ctx.rescore(&impacts, sc)
 }
 
 #[cfg(test)]
@@ -968,5 +1185,46 @@ mod tests {
         .expect("budgeted run completes");
         assert!(report.iterations.len() <= 1);
         assert_eq!(ctx.log.of_kind(FaultKind::IterationBudget).count(), 1);
+    }
+
+    /// Squares its slot; counts how often it ran.
+    struct Square(std::sync::atomic::AtomicUsize);
+
+    impl SlotJob for Square {
+        type Out = usize;
+        type Scratch = ();
+        fn run_slot(&self, (): &mut (), i: usize) -> usize {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            i * i
+        }
+    }
+
+    #[test]
+    fn striped_pool_polls_at_fixed_slot_counts_for_any_width() {
+        let n = 1000;
+        for workers in [1, 2, 3, 8] {
+            let job = Square(std::sync::atomic::AtomicUsize::new(0));
+            let mut polls = 0;
+            let lanes = striped(n, workers, &job, SCORE_STRIDE, || {
+                polls += 1;
+                false
+            })
+            .expect("never stopped");
+            let got: Vec<usize> = in_slot_order(lanes, n).map(Option::unwrap).collect();
+            assert_eq!(
+                got,
+                (0..n).map(|i| i * i).collect::<Vec<_>>(),
+                "W={workers}"
+            );
+            assert_eq!(polls, (n - 1) / SCORE_STRIDE, "W={workers}");
+            // a stop on the third poll names the same move for every width
+            let mut polls = 0;
+            let cut = striped(n, workers, &job, SCORE_STRIDE, || {
+                polls += 1;
+                polls == 3
+            });
+            assert_eq!(cut.err(), Some(3 * SCORE_STRIDE), "W={workers}");
+            assert_eq!(polls, 3, "W={workers}");
+        }
     }
 }

@@ -3,12 +3,14 @@
 //! models (ANN / SVM-RBF / HSM) trained per corner on artificial
 //! testcases to close the gap to the golden timer.
 
-use clk_delay::{peri_slew, NetTiming, RcTree, WireModel};
-use clk_geom::{um_to_dbu, Point, Rect};
+use std::borrow::Cow;
+
+use clk_delay::{peri_slew, NetTiming, WireModel};
+use clk_geom::{um_to_dbu, Direction, Point, Rect};
 use clk_liberty::{CellId, CornerId, Library};
 use clk_ml::{Hsm, LsSvm, Mlp, MlpConfig, Regressor, StandardScaler};
 use clk_netlist::{ClockTree, Floorplan, NodeId, NodeKind};
-use clk_route::{rsmt, single_trunk};
+use clk_route::{rsmt, single_trunk, WireTree};
 use clk_sta::{CornerTiming, Timer};
 
 use crate::moves::{apply_move, enumerate_moves, Move, MoveConfig, Resize};
@@ -22,50 +24,107 @@ pub enum Topo {
     SingleTrunk,
 }
 
-/// Fast per-net estimate: gate + estimated-topology wire delay to each
-/// pin, with PERI slews.
-struct NetEst {
-    pin_delay: Vec<f64>,
-    pin_slew: Vec<f64>,
+/// Index of the `(topo, model)` analytic estimate among the first four
+/// [`move_features`]: FLUTE×Elmore, FLUTE×D2M, trunk×Elmore, trunk×D2M.
+pub(crate) fn analytic_feature(topo: Topo, model: WireModel) -> usize {
+    2 * usize::from(topo == Topo::SingleTrunk) + usize::from(model == WireModel::D2m)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn net_estimate(
-    lib: &Library,
-    corner: CornerId,
-    drv_cell: CellId,
-    slew_in: f64,
-    drv_loc: Point,
-    pins: &[(Point, f64)],
-    topo: Topo,
-    model: WireModel,
-) -> NetEst {
-    let pts: Vec<Point> = pins.iter().map(|&(p, _)| p).collect();
-    let wt = match topo {
-        Topo::Flute => rsmt(drv_loc, &pts),
-        Topo::SingleTrunk => single_trunk(drv_loc, &pts),
-    };
-    let loads: Vec<(usize, f64)> = pins
-        .iter()
-        .map(|&(p, c)| (wt.index_of(p).expect("pin in tree"), c))
-        .collect();
-    // lumped extraction: this is the *fast* estimate, not golden
-    let rct = RcTree::extract(&wt, lib.wire_rc(corner), &loads, 1.0e9);
-    let nt = NetTiming::analyze(&rct);
-    let load = nt.total_cap_ff();
-    let gate = lib.gate_delay(drv_cell, corner, slew_in, load);
-    let gslew = lib.gate_output_slew(drv_cell, corner, slew_in, load);
-    let mut pin_delay = Vec::with_capacity(pins.len());
-    let mut pin_slew = Vec::with_capacity(pins.len());
-    for &(p, _) in pins {
-        let rc_node = rct.rc_node_of_wire_node(wt.index_of(p).expect("pin in tree"));
-        pin_delay.push(gate + nt.delay_ps(rc_node, model));
-        pin_slew.push(peri_slew(gslew, nt.wire_slew_ps(rc_node)));
+/// The routing patterns in feature order; `TOPOS[0]` is FLUTE.
+const TOPOS: [Topo; 2] = [Topo::Flute, Topo::SingleTrunk];
+/// Per-pin fields of a net estimate: gate + Elmore delay, gate + D2M
+/// delay, PERI slew.
+const FIELDS: usize = 3;
+const SLEW: usize = 2;
+/// Feature index of the FLUTE×D2M estimate, the one whose per-child and
+/// side-effect detail the local optimizer re-scores with.
+const DETAIL: usize = 1;
+
+/// One net's fast estimates, flat: `[topo][corner][field][pin]`, ps.
+#[derive(Clone, Copy)]
+struct NetView<'a> {
+    v: &'a [f64],
+    pins: usize,
+    corners: usize,
+}
+
+impl NetView<'_> {
+    fn at(&self, t: usize, k: usize, field: usize, pin: usize) -> f64 {
+        self.v[((t * self.corners + k) * FIELDS + field) * self.pins + pin]
     }
-    NetEst {
-        pin_delay,
-        pin_slew,
+}
+
+/// One net routed under one topology: the wire tree and each pin's wire
+/// node. Routes depend on pin locations only, never on caps.
+#[derive(Debug)]
+struct Routed {
+    wt: WireTree,
+    nodes: Vec<usize>,
+}
+
+impl Routed {
+    fn new(topo: Topo, loc: Point, pts: &[Point]) -> Self {
+        let wt = match topo {
+            Topo::Flute => rsmt(loc, pts),
+            Topo::SingleTrunk => single_trunk(loc, pts),
+        };
+        let nodes = pts
+            .iter()
+            .map(|&p| wt.index_of(p).expect("pin in tree"))
+            .collect();
+        Routed { wt, nodes }
     }
+}
+
+/// Net estimates indexed by node id: `span[node]` is the `(offset, len)`
+/// run of the node's entry in `vals`; `len == 0` means not tabled.
+#[derive(Debug, Default)]
+struct NetTable {
+    span: Vec<(usize, usize)>,
+    vals: Vec<f64>,
+}
+
+impl NetTable {
+    fn get(&self, n: NodeId) -> Option<&[f64]> {
+        match self.span.get(n.0 as usize) {
+            Some(&(at, len)) if len > 0 => Some(&self.vals[at..at + len]),
+            _ => None,
+        }
+    }
+
+    fn insert(&mut self, n: NodeId, v: &[f64]) {
+        let slot = n.0 as usize;
+        if self.span.len() <= slot {
+            self.span.resize(slot + 1, (0, 0));
+        }
+        self.span[slot] = (self.vals.len(), v.len());
+        self.vals.extend_from_slice(v);
+    }
+}
+
+/// The routes, per topology, of one driver displaced one way: its
+/// parent's net and its own net after the displacement (empty when the
+/// driver has no parent / no children).
+#[derive(Debug)]
+struct Displaced {
+    node: NodeId,
+    dir: Option<Direction>,
+    parent: Vec<Routed>,
+    own: Vec<Routed>,
+}
+
+/// Reusable buffers of one thread estimating moves of one
+/// [`MoveEstimator`]: the moment analysis, the after-move pin estimates,
+/// and the displaced routes of the driver last estimated. Moves are
+/// enumerated driver by driver, so a driver's moves that share a
+/// displacement route it once.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    nt: NetTiming,
+    ea_p: Vec<f64>,
+    ea: Vec<f64>,
+    d3: Vec<f64>,
+    displaced: Vec<Displaced>,
 }
 
 fn pin_cap(tree: &ClockTree, lib: &Library, node: NodeId) -> f64 {
@@ -85,7 +144,7 @@ fn resized(lib: &Library, cell: CellId, r: Resize) -> CellId {
 }
 
 /// The analytical estimate of one move's impact at one corner.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MoveEstimate {
     /// Estimated mean latency change of the sinks below the move's
     /// primary node, ps.
@@ -99,307 +158,516 @@ pub struct MoveEstimate {
     pub side_effects: Vec<(NodeId, f64)>,
 }
 
-/// Analytically estimates a move's delta-latency at `corner` using the
-/// chosen routing-pattern / wire-delay models. This is the pre-ML
-/// estimator of the paper (and the "analytical model" baseline of
-/// Fig. 6); it sees neither legalization nor the actual ECO route.
-#[allow(clippy::too_many_arguments)]
-pub fn analytic_move_estimate(
-    tree: &ClockTree,
-    lib: &Library,
-    corner: CornerId,
-    timing: &CornerTiming,
-    mv: &Move,
-    cfg: &MoveConfig,
-    topo: Topo,
-    model: WireModel,
-) -> MoveEstimate {
-    let step = um_to_dbu(cfg.displace_um);
-    match *mv {
-        Move::SizeDisplace { node, dir, resize } => {
-            let new_loc = match dir {
-                Some(d) => tree.loc(node).step(d, step),
-                None => tree.loc(node),
-            };
-            let old_cell = tree.cell(node).expect("buffer");
-            let new_cell = resized(lib, old_cell, resize);
-            estimate_driver_change(
-                tree,
-                lib,
-                corner,
-                timing,
-                node,
-                new_loc,
-                new_cell,
-                &[],
-                topo,
-                model,
-            )
-        }
-        Move::ChildSize {
-            node,
-            dir,
-            child,
-            child_resize,
-        } => {
-            let new_loc = tree.loc(node).step(dir, step);
-            let cell = tree.cell(node).expect("buffer");
-            let child_cell = tree.cell(child).expect("buffer child");
-            let new_child_cell = resized(lib, child_cell, child_resize);
-            estimate_driver_change(
-                tree,
-                lib,
-                corner,
-                timing,
-                node,
-                new_loc,
-                cell,
-                &[(child, new_child_cell)],
-                topo,
-                model,
-            )
-        }
-        Move::Reassign { node, new_parent } => {
-            let p = tree.parent(node).expect("non-root");
-            // old driver's net with and without `node`
-            let old_pins: Vec<(Point, f64)> = tree
-                .children(p)
-                .iter()
-                .map(|&c| (tree.loc(c), pin_cap(tree, lib, c)))
-                .collect();
-            let p_cell = tree.cell(p).expect("driver");
-            let est_old = net_estimate(
-                lib,
-                corner,
-                p_cell,
-                timing.slew_ps(p),
-                tree.loc(p),
-                &old_pins,
-                topo,
-                model,
-            );
-            let idx = tree
-                .children(p)
-                .iter()
-                .position(|&c| c == node)
-                .expect("node is a child of p");
-            // new driver's net with `node` appended
-            let mut new_pins: Vec<(Point, f64)> = tree
-                .children(new_parent)
-                .iter()
-                .map(|&c| (tree.loc(c), pin_cap(tree, lib, c)))
-                .collect();
-            new_pins.push((tree.loc(node), pin_cap(tree, lib, node)));
-            let np_cell = tree.cell(new_parent).expect("driver");
-            let est_new = net_estimate(
-                lib,
-                corner,
-                np_cell,
-                timing.slew_ps(new_parent),
-                tree.loc(new_parent),
-                &new_pins,
-                topo,
-                model,
-            );
-            let primary_delta = (timing.arrival_ps(new_parent) - timing.arrival_ps(p))
-                + (est_new.pin_delay[new_pins.len() - 1] - est_old.pin_delay[idx]);
-            // side effects: old siblings speed up, new siblings slow down
-            let mut side = Vec::new();
-            if old_pins.len() > 1 {
-                let remaining: Vec<(Point, f64)> = old_pins
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != idx)
-                    .map(|(_, &p)| p)
-                    .collect();
-                let est_rem = net_estimate(
-                    lib,
-                    corner,
-                    p_cell,
-                    timing.slew_ps(p),
-                    tree.loc(p),
-                    &remaining,
-                    topo,
-                    model,
-                );
-                let mut k = 0;
-                for (i, &c) in tree.children(p).iter().enumerate() {
-                    if i == idx {
-                        continue;
-                    }
-                    side.push((c, est_rem.pin_delay[k] - est_old.pin_delay[i]));
-                    k += 1;
-                }
-            }
-            if new_pins.len() > 1 {
-                let prior: Vec<(Point, f64)> = new_pins[..new_pins.len() - 1].to_vec();
-                let est_prior = net_estimate(
-                    lib,
-                    corner,
-                    np_cell,
-                    timing.slew_ps(new_parent),
-                    tree.loc(new_parent),
-                    &prior,
-                    topo,
-                    model,
-                );
-                for (i, &c) in tree.children(new_parent).iter().enumerate() {
-                    side.push((c, est_new.pin_delay[i] - est_prior.pin_delay[i]));
-                }
-            }
-            MoveEstimate {
-                primary_delta,
-                per_child: vec![(node, primary_delta)],
-                side_effects: side,
-            }
-        }
-    }
+/// The analytic move estimator (the pre-ML estimator of the paper and
+/// the "analytical model" baseline of Fig. 6) over one tree state and a
+/// set of corners. It sees neither legalization nor the actual ECO route.
+///
+/// Each net a move touches is routed once per topology, and analyzed once
+/// per corner; both wire models and the pin slews are read off that one
+/// analysis. [`MoveEstimator::with_tables`] also estimates, once, the
+/// nets that sibling moves share — every driver's fanout net as it
+/// stands, and the old driver's net without each reassigned node — into
+/// flat tables indexed by node id. Tables only skip repeated work: every
+/// lookup falls back to estimating the net on the spot, with
+/// bit-identical results.
+#[derive(Debug)]
+pub struct MoveEstimator<'a> {
+    tree: &'a ClockTree,
+    lib: &'a Library,
+    cfg: &'a MoveConfig,
+    corners: Vec<(CornerId, &'a CornerTiming)>,
+    before: NetTable,
+    without: NetTable,
 }
 
-/// Shared path for type I/II: driver `node` moves to `new_loc` with
-/// `new_cell`; `child_changes` lists child resizes.
-#[allow(clippy::too_many_arguments)]
-fn estimate_driver_change(
-    tree: &ClockTree,
-    lib: &Library,
-    corner: CornerId,
-    timing: &CornerTiming,
-    node: NodeId,
-    new_loc: Point,
-    new_cell: CellId,
-    child_changes: &[(NodeId, CellId)],
-    topo: Topo,
-    model: WireModel,
-) -> MoveEstimate {
-    let old_cell = tree.cell(node).expect("buffer");
-    // --- stage 0: the parent's net sees node's pin move / recap ---
-    let (d1, slew_shift, parent_side) = match tree.parent(node) {
-        None => (0.0, 0.0, Vec::new()),
-        Some(p) => {
-            let p_cell = tree.cell(p).expect("driver");
-            let p_slew = timing.slew_ps(p);
-            let before: Vec<(Point, f64)> = tree
-                .children(p)
-                .iter()
-                .map(|&c| (tree.loc(c), pin_cap(tree, lib, c)))
-                .collect();
-            let mut after = before.clone();
-            let idx = tree
-                .children(p)
-                .iter()
-                .position(|&c| c == node)
-                .expect("node under p");
-            after[idx] = (new_loc, lib.cell(new_cell).input_cap_ff);
-            let eb = net_estimate(
-                lib,
-                corner,
-                p_cell,
-                p_slew,
-                tree.loc(p),
-                &before,
-                topo,
-                model,
-            );
-            let ea = net_estimate(
-                lib,
-                corner,
-                p_cell,
-                p_slew,
-                tree.loc(p),
-                &after,
-                topo,
-                model,
-            );
-            let mut side = Vec::new();
-            for (i, &c) in tree.children(p).iter().enumerate() {
-                if i != idx {
-                    side.push((c, ea.pin_delay[i] - eb.pin_delay[i]));
+impl<'a> MoveEstimator<'a> {
+    /// An estimator of moves on `tree` at `corners` (each corner with the
+    /// tree's timing there), without tables.
+    pub fn new(
+        tree: &'a ClockTree,
+        lib: &'a Library,
+        cfg: &'a MoveConfig,
+        corners: Vec<(CornerId, &'a CornerTiming)>,
+    ) -> Self {
+        MoveEstimator {
+            tree,
+            lib,
+            cfg,
+            corners,
+            before: NetTable::default(),
+            without: NetTable::default(),
+        }
+    }
+
+    /// Tables every driver's fanout net, and the old driver's net without
+    /// the node of every type-III move in `moves`.
+    #[must_use]
+    pub fn with_tables(mut self, moves: &[Move]) -> Self {
+        let pins: usize = self
+            .tree
+            .node_ids()
+            .map(|d| self.tree.children(d).len())
+            .sum();
+        let len = TOPOS.len() * self.corners.len() * FIELDS * pins;
+        self.before.vals.reserve_exact(len);
+        for d in self.tree.node_ids() {
+            if !self.tree.children(d).is_empty() {
+                let v = self.before(d).into_owned();
+                self.before.insert(d, &v);
+            }
+        }
+        for mv in moves {
+            if let Move::Reassign { node, .. } = *mv {
+                if self.without.get(node).is_none() {
+                    if let Some(v) = self.without(node).map(Cow::into_owned) {
+                        self.without.insert(node, &v);
+                    }
                 }
             }
-            (
-                ea.pin_delay[idx] - eb.pin_delay[idx],
-                ea.pin_slew[idx] - eb.pin_slew[idx],
-                side,
-            )
         }
-    };
-    // --- stage 1: node's own net ---
-    let children = tree.children(node);
-    if children.is_empty() {
-        return MoveEstimate {
-            primary_delta: d1,
-            per_child: vec![(node, d1)],
-            side_effects: parent_side,
-        };
+        self
     }
-    let new_child_cell = |c: NodeId| -> f64 {
-        child_changes.iter().find(|&&(cc, _)| cc == c).map_or_else(
-            || pin_cap(tree, lib, c),
-            |&(_, cell)| lib.cell(cell).input_cap_ff,
-        )
-    };
-    let before: Vec<(Point, f64)> = children
-        .iter()
-        .map(|&c| (tree.loc(c), pin_cap(tree, lib, c)))
-        .collect();
-    let after: Vec<(Point, f64)> = children
-        .iter()
-        .map(|&c| (tree.loc(c), new_child_cell(c)))
-        .collect();
-    let s_live = timing.slew_ps(node);
-    let eb = net_estimate(
-        lib,
-        corner,
-        old_cell,
-        s_live,
-        tree.loc(node),
-        &before,
-        topo,
-        model,
-    );
-    let ea = net_estimate(
-        lib,
-        corner,
-        new_cell,
-        (s_live + slew_shift).max(1.0),
-        new_loc,
-        &after,
-        topo,
-        model,
-    );
-    // per-child deltas: shift at the driver input (d1) + this child's own
-    // net-delay change + its stage-2 gate-delay change
-    let mut per_child = Vec::with_capacity(children.len());
-    for (i, &c) in children.iter().enumerate() {
-        let d2_i = ea.pin_delay[i] - eb.pin_delay[i];
-        let d3_i = if let NodeKind::Buffer(c_cell) = tree.node(c).kind {
-            let load = timing.load_ff(c);
-            let new_cell_c = child_changes
+
+    /// The [`move_features`] and the FLUTE×D2M [`MoveEstimate`] of `mv`
+    /// at every corner of the estimator, in corner order.
+    pub fn estimate(&self, mv: &Move) -> Vec<(Features, MoveEstimate)> {
+        self.estimate_in(mv, &mut Scratch::default())
+    }
+
+    /// [`MoveEstimator::estimate`] of every move in `moves`, in order,
+    /// with one set of reusable buffers.
+    pub fn estimate_all(&self, moves: &[Move]) -> Vec<Vec<(Features, MoveEstimate)>> {
+        let mut sc = Scratch::default();
+        moves
+            .iter()
+            .map(|mv| self.estimate_in(mv, &mut sc))
+            .collect()
+    }
+
+    /// [`MoveEstimator::estimate`] with this thread's buffers, which only
+    /// ever serve this estimator.
+    pub(crate) fn estimate_in(&self, mv: &Move, sc: &mut Scratch) -> Vec<(Features, MoveEstimate)> {
+        let (tree, lib) = (self.tree, self.lib);
+        // the four analytic estimates; geometry fills the rest
+        let mut per_corner = match *mv {
+            Move::SizeDisplace { node, dir, resize } => {
+                let new_cell = resized(lib, tree.cell(node).expect("buffer"), resize);
+                self.driver_change(sc, node, dir, new_cell, None)
+            }
+            Move::ChildSize {
+                node,
+                dir,
+                child,
+                child_resize,
+            } => {
+                let child_cell = tree.cell(child).expect("buffer child");
+                let change = (child, resized(lib, child_cell, child_resize));
+                let cell = tree.cell(node).expect("buffer");
+                self.driver_change(sc, node, Some(dir), cell, Some(change))
+            }
+            Move::Reassign { node, new_parent } => self.reassign(sc, node, new_parent),
+        };
+        let geometry = self.geometry(mv);
+        for (f, _) in &mut per_corner {
+            f[4..].copy_from_slice(&geometry);
+        }
+        per_corner
+    }
+
+    fn locs(&self, nodes: &[NodeId]) -> Vec<Point> {
+        nodes.iter().map(|&c| self.tree.loc(c)).collect()
+    }
+
+    fn cap(&self, n: NodeId) -> f64 {
+        pin_cap(self.tree, self.lib, n)
+    }
+
+    fn slew(&self, k: usize, n: NodeId) -> f64 {
+        self.corners[k].1.slew_ps(n)
+    }
+
+    fn view<'v>(&self, v: &'v [f64], pins: usize) -> NetView<'v> {
+        NetView {
+            v,
+            pins,
+            corners: self.corners.len(),
+        }
+    }
+
+    /// Appends the gate + wire delay under both wire models and the PERI
+    /// slew at every pin of `r` (pin `i` loaded by `cap(i)`) at corner slot
+    /// `k` to `out`, as `[field][pin]`: one lumped moment analysis (the
+    /// *fast* estimate, not golden) of a net driven by `(cell, input slew)`.
+    fn net_at(
+        &self,
+        nt: &mut NetTiming,
+        r: &Routed,
+        cap: impl Fn(usize) -> f64,
+        k: usize,
+        (cell, slew_in): (CellId, f64),
+        out: &mut Vec<f64>,
+    ) {
+        let (lib, corner) = (self.lib, self.corners[k].0);
+        let loads = r.nodes.iter().enumerate().map(|(i, &w)| (w, cap(i)));
+        nt.reanalyze_lumped(&r.wt, lib.wire_rc(corner), loads);
+        let load = nt.total_cap_ff();
+        let gate = lib.gate_delay(cell, corner, slew_in, load);
+        let gslew = lib.gate_output_slew(cell, corner, slew_in, load);
+        for model in [WireModel::Elmore, WireModel::D2m] {
+            out.extend(r.nodes.iter().map(|&w| gate + nt.delay_ps(w, model)));
+        }
+        out.extend(
+            r.nodes
                 .iter()
-                .find(|&&(cc, _)| cc == c)
-                .map_or(c_cell, |&(_, cell)| cell);
-            let g_b = lib.gate_delay(c_cell, corner, eb.pin_slew[i], load);
-            let g_a = lib.gate_delay(new_cell_c, corner, ea.pin_slew[i], load);
-            g_a - g_b
-        } else {
-            0.0
-        };
-        per_child.push((c, d1 + d2_i + d3_i));
+                .map(|&w| peri_slew(gslew, nt.wire_slew_ps(w))),
+        );
     }
-    let primary_delta = per_child.iter().map(|&(_, d)| d).sum::<f64>() / children.len() as f64;
-    MoveEstimate {
-        primary_delta,
-        per_child,
-        side_effects: parent_side,
+
+    /// Driver `d`'s net over `fanout` as it stands, under the first
+    /// `topos` of [`TOPOS`] at every corner, in the [`NetView`] layout.
+    fn estimate_net(&self, topos: usize, d: NodeId, fanout: &[NodeId]) -> Vec<f64> {
+        let (cell, loc, pts) = (
+            self.tree.cell(d).expect("driver"),
+            self.tree.loc(d),
+            self.locs(fanout),
+        );
+        let mut nt = NetTiming::default();
+        let mut out = Vec::with_capacity(topos * self.corners.len() * FIELDS * fanout.len());
+        for &topo in TOPOS.iter().take(topos) {
+            let r = Routed::new(topo, loc, &pts);
+            for k in 0..self.corners.len() {
+                let drive = (cell, self.slew(k, d));
+                self.net_at(&mut nt, &r, |i| self.cap(fanout[i]), k, drive, &mut out);
+            }
+        }
+        out
+    }
+
+    /// `d`'s fanout net as it stands, from the table when it is built.
+    fn before(&self, d: NodeId) -> Cow<'_, [f64]> {
+        self.before.get(d).map_or_else(
+            || Cow::Owned(self.estimate_net(TOPOS.len(), d, self.tree.children(d))),
+            Cow::Borrowed,
+        )
+    }
+
+    /// `c`'s driver net without `c`, from the table when it is built; FLUTE
+    /// only (only the FLUTE×D2M side effects read it), `None` when `c` is
+    /// an only child.
+    fn without(&self, c: NodeId) -> Option<Cow<'_, [f64]>> {
+        if let Some(v) = self.without.get(c) {
+            return Some(Cow::Borrowed(v));
+        }
+        let p = self.tree.parent(c)?;
+        let rest: Vec<NodeId> = self
+            .tree
+            .children(p)
+            .iter()
+            .copied()
+            .filter(|&s| s != c)
+            .collect();
+        (!rest.is_empty()).then(|| Cow::Owned(self.estimate_net(1, p, &rest)))
+    }
+
+    fn moved(&self, node: NodeId, dir: Option<Direction>) -> Point {
+        let loc = self.tree.loc(node);
+        dir.map_or(loc, |d| loc.step(d, um_to_dbu(self.cfg.displace_um)))
+    }
+
+    /// The routes of `node` displaced by `dir`, from `memo` when this
+    /// driver's moves routed them already.
+    fn displaced<'m>(
+        &self,
+        memo: &'m mut Vec<Displaced>,
+        node: NodeId,
+        dir: Option<Direction>,
+    ) -> &'m Displaced {
+        if memo.first().is_some_and(|d| d.node != node) {
+            memo.clear();
+        }
+        let at = match memo.iter().position(|d| d.dir == dir) {
+            Some(at) => at,
+            None => {
+                let (tree, new_loc) = (self.tree, self.moved(node, dir));
+                let route_all = |loc: Point, pts: &[Point]| -> Vec<Routed> {
+                    TOPOS.iter().map(|&t| Routed::new(t, loc, pts)).collect()
+                };
+                let parent = tree.parent(node).map_or_else(Vec::new, |p| {
+                    let pts: Vec<Point> = tree
+                        .children(p)
+                        .iter()
+                        .map(|&c| if c == node { new_loc } else { tree.loc(c) })
+                        .collect();
+                    route_all(tree.loc(p), &pts)
+                });
+                let children = tree.children(node);
+                let own = if children.is_empty() {
+                    Vec::new()
+                } else {
+                    route_all(new_loc, &self.locs(children))
+                };
+                memo.push(Displaced {
+                    node,
+                    dir,
+                    parent,
+                    own,
+                });
+                memo.len() - 1
+            }
+        };
+        &memo[at]
+    }
+
+    /// Type I/II: driver `node` moves by `dir` and becomes `new_cell`;
+    /// `child_change` is a resized child.
+    fn driver_change(
+        &self,
+        sc: &mut Scratch,
+        node: NodeId,
+        dir: Option<Direction>,
+        new_cell: CellId,
+        child_change: Option<(NodeId, CellId)>,
+    ) -> Vec<(Features, MoveEstimate)> {
+        let (tree, lib) = (self.tree, self.lib);
+        let Scratch {
+            nt,
+            ea_p,
+            ea,
+            d3,
+            displaced,
+        } = sc;
+        let routes = self.displaced(displaced, node, dir);
+        let mut out = vec![(Features::default(), MoveEstimate::default()); self.corners.len()];
+        // stage 0: the parent's net sees node's pin move / recap
+        let new_cap = lib.cell(new_cell).input_cap_ff;
+        let parent = tree.parent(node).map(|p| {
+            let sibs = tree.children(p);
+            let idx = sibs.iter().position(|&c| c == node).expect("node under p");
+            (p, sibs, idx, self.before(p))
+        });
+        // stage 1: node's own net
+        let children = tree.children(node);
+        let changed = |c: NodeId| {
+            child_change
+                .filter(|&(cc, _)| cc == c)
+                .map(|(_, cell)| cell)
+        };
+        let own_cap = |i: usize| {
+            changed(children[i])
+                .map_or_else(|| self.cap(children[i]), |cell| lib.cell(cell).input_cap_ff)
+        };
+        let own_before = (!children.is_empty()).then(|| self.before(node));
+        let n = children.len();
+        for t in 0..TOPOS.len() {
+            for (k, (primary, detail)) in out.iter_mut().enumerate() {
+                let (corner, timing) = self.corners[k];
+                // d1 per wire model and the slew shift at node's input
+                let (mut d1, mut slew_shift) = ([0.0; 2], 0.0);
+                if let Some((p, sibs, idx, eb)) = &parent {
+                    let eb = self.view(eb, sibs.len());
+                    let cap = |i: usize| {
+                        if i == *idx {
+                            new_cap
+                        } else {
+                            self.cap(sibs[i])
+                        }
+                    };
+                    let drive = (tree.cell(*p).expect("driver"), self.slew(k, *p));
+                    ea_p.clear();
+                    self.net_at(nt, &routes.parent[t], cap, k, drive, ea_p);
+                    let at = |f: usize, i: usize| ea_p[f * sibs.len() + i] - eb.at(t, k, f, i);
+                    d1 = [at(0, *idx), at(1, *idx)];
+                    slew_shift = at(SLEW, *idx);
+                    if t == 0 {
+                        detail.side_effects = (0..sibs.len())
+                            .filter(|&i| i != *idx)
+                            .map(|i| (sibs[i], at(DETAIL, i)))
+                            .collect();
+                    }
+                }
+                let Some(eb) = &own_before else {
+                    primary[2 * t..2 * t + 2].copy_from_slice(&d1);
+                    if t == 0 {
+                        detail.per_child = vec![(node, d1[DETAIL])];
+                    }
+                    continue;
+                };
+                let eb = self.view(eb, n);
+                let drive = (new_cell, (self.slew(k, node) + slew_shift).max(1.0));
+                ea.clear();
+                self.net_at(nt, &routes.own[t], own_cap, k, drive, ea);
+                // stage-2 gate-delay change of each buffer child (wire-model
+                // independent: it reads the pin slews)
+                d3.clear();
+                d3.extend(
+                    children
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &c)| match tree.node(c).kind {
+                            NodeKind::Buffer(c_cell) => {
+                                let load = timing.load_ff(c);
+                                let g_b =
+                                    lib.gate_delay(c_cell, corner, eb.at(t, k, SLEW, i), load);
+                                let new_c = changed(c).unwrap_or(c_cell);
+                                let g_a = lib.gate_delay(new_c, corner, ea[SLEW * n + i], load);
+                                g_a - g_b
+                            }
+                            _ => 0.0,
+                        }),
+                );
+                for m in 0..2 {
+                    // shift at the driver input (d1) + this child's own
+                    // net-delay change + its stage-2 gate-delay change
+                    let delta = |i: usize| d1[m] + (ea[m * n + i] - eb.at(t, k, m, i)) + d3[i];
+                    primary[2 * t + m] = (0..n).map(delta).sum::<f64>() / n as f64;
+                    if 2 * t + m == DETAIL {
+                        detail.per_child = children
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &c)| (c, delta(i)))
+                            .collect();
+                    }
+                }
+            }
+        }
+        for (primary, detail) in &mut out {
+            detail.primary_delta = primary[DETAIL];
+        }
+        out
+    }
+
+    /// Type III: `node` leaves its driver for `new_parent`.
+    fn reassign(
+        &self,
+        sc: &mut Scratch,
+        node: NodeId,
+        new_parent: NodeId,
+    ) -> Vec<(Features, MoveEstimate)> {
+        let tree = self.tree;
+        let p = tree.parent(node).expect("non-root");
+        let sibs = tree.children(p);
+        let idx = sibs
+            .iter()
+            .position(|&c| c == node)
+            .expect("node is a child of p");
+        // new driver's net with `node` appended
+        let new_sibs = tree.children(new_parent);
+        let last = new_sibs.len();
+        let mut pts = self.locs(new_sibs);
+        pts.push(tree.loc(node));
+        let cap = |i: usize| self.cap(if i == last { node } else { new_sibs[i] });
+        let np_cell = tree.cell(new_parent).expect("driver");
+        let eo = self.before(p);
+        let eo = self.view(&eo, sibs.len());
+        // side effects: old siblings speed up, new siblings slow down
+        let rem = self.without(node);
+        let rem = rem.as_deref().map(|v| self.view(v, sibs.len() - 1));
+        let prior = (last > 0).then(|| self.before(new_parent));
+        let prior = prior.as_deref().map(|v| self.view(v, last));
+        let mut out = vec![(Features::default(), MoveEstimate::default()); self.corners.len()];
+        for (t, &topo) in TOPOS.iter().enumerate() {
+            let r = Routed::new(topo, tree.loc(new_parent), &pts);
+            for (k, (primary, detail)) in out.iter_mut().enumerate() {
+                let timing = self.corners[k].1;
+                sc.ea.clear();
+                self.net_at(
+                    &mut sc.nt,
+                    &r,
+                    cap,
+                    k,
+                    (np_cell, self.slew(k, new_parent)),
+                    &mut sc.ea,
+                );
+                let en = |f: usize, i: usize| sc.ea[f * (last + 1) + i];
+                let shift = timing.arrival_ps(new_parent) - timing.arrival_ps(p);
+                for m in 0..2 {
+                    primary[2 * t + m] = shift + (en(m, last) - eo.at(t, k, m, idx));
+                }
+                if t > 0 {
+                    continue;
+                }
+                let mut side = Vec::new();
+                if let Some(rem) = rem {
+                    let old = (0..sibs.len()).filter(|&i| i != idx);
+                    for (j, i) in old.enumerate() {
+                        side.push((sibs[i], rem.at(0, k, DETAIL, j) - eo.at(0, k, DETAIL, i)));
+                    }
+                }
+                if let Some(prior) = prior {
+                    for (i, &c) in new_sibs.iter().enumerate() {
+                        side.push((c, en(DETAIL, i) - prior.at(0, k, DETAIL, i)));
+                    }
+                }
+                detail.side_effects = side;
+            }
+        }
+        for (primary, detail) in &mut out {
+            detail.primary_delta = primary[DETAIL];
+            detail.per_child = vec![(node, primary[DETAIL])];
+        }
+        out
+    }
+
+    /// Corner-independent features: net geometry (fanout, bounding-box
+    /// area, aspect ratio) and the move descriptors (drive delta,
+    /// displacement, child-cap delta).
+    fn geometry(&self, mv: &Move) -> [f64; N_FEATURES - 4] {
+        let (tree, lib, cfg) = (self.tree, self.lib, self.cfg);
+        let node = mv.primary_node();
+        let children = tree.children(node);
+        let mut bbox = Rect::new(tree.loc(node), tree.loc(node));
+        for &c in children {
+            bbox.expand(tree.loc(c));
+        }
+        let (ddrive, dist, dcap) = match *mv {
+            Move::SizeDisplace { node, dir, resize } => {
+                let c = tree.cell(node).expect("buffer");
+                let nc = resized(lib, c, resize);
+                (
+                    lib.cell(nc).drive - lib.cell(c).drive,
+                    if dir.is_some() { cfg.displace_um } else { 0.0 },
+                    lib.cell(nc).input_cap_ff - lib.cell(c).input_cap_ff,
+                )
+            }
+            Move::ChildSize {
+                child,
+                child_resize,
+                ..
+            } => {
+                let c = tree.cell(child).expect("buffer");
+                let nc = resized(lib, c, child_resize);
+                (
+                    lib.cell(nc).drive - lib.cell(c).drive,
+                    cfg.displace_um,
+                    lib.cell(nc).input_cap_ff - lib.cell(c).input_cap_ff,
+                )
+            }
+            Move::Reassign { node, new_parent } => {
+                let p = tree.parent(node).expect("non-root");
+                (0.0, tree.loc(new_parent).manhattan_um(tree.loc(p)), 0.0)
+            }
+        };
+        [
+            children.len() as f64,
+            bbox.area_um2() / 1_000.0,
+            bbox.aspect_ratio(),
+            ddrive,
+            dist,
+            dcap,
+        ]
     }
 }
 
 /// Number of features produced by [`move_features`].
 pub const N_FEATURES: usize = 10;
 
-/// The model input of the paper: the four analytical delta estimates plus
-/// net geometry (fanout, bounding-box area, aspect ratio) and move
-/// descriptors.
+/// One move's model input at one corner (see [`move_features`]).
+pub type Features = [f64; N_FEATURES];
+
+/// The model input of the paper at one corner: the four analytical delta
+/// estimates (FLUTE×Elmore, FLUTE×D2M, trunk×Elmore, trunk×D2M) plus net geometry
+/// (fanout, bounding-box area, aspect ratio) and move descriptors. Scoring
+/// many moves or corners at once is cheaper through [`MoveEstimator`].
 pub fn move_features(
     tree: &ClockTree,
     lib: &Library,
@@ -408,78 +676,8 @@ pub fn move_features(
     mv: &Move,
     cfg: &MoveConfig,
 ) -> Vec<f64> {
-    move_features_with_sides(tree, lib, corner, timing, mv, cfg).0
-}
-
-/// [`move_features`] plus the full FLUTE×D2M [`MoveEstimate`] (per-child
-/// deltas and sibling side effects), reused by the local optimizer so the
-/// four expensive analytic passes run once.
-pub fn move_features_with_sides(
-    tree: &ClockTree,
-    lib: &Library,
-    corner: CornerId,
-    timing: &CornerTiming,
-    mv: &Move,
-    cfg: &MoveConfig,
-) -> (Vec<f64>, MoveEstimate) {
-    let combos = [
-        (Topo::Flute, WireModel::Elmore),
-        (Topo::Flute, WireModel::D2m),
-        (Topo::SingleTrunk, WireModel::Elmore),
-        (Topo::SingleTrunk, WireModel::D2m),
-    ];
-    let mut detail = None;
-    let mut f = Vec::with_capacity(N_FEATURES);
-    for (topo, model) in combos {
-        let est = analytic_move_estimate(tree, lib, corner, timing, mv, cfg, topo, model);
-        f.push(est.primary_delta);
-        if topo == Topo::Flute && model == WireModel::D2m {
-            detail = Some(est);
-        }
-    }
-    let detail = detail.expect("FLUTE x D2M combo always runs");
-    let node = mv.primary_node();
-    let children = tree.children(node);
-    f.push(children.len() as f64);
-    let mut pts: Vec<Point> = children.iter().map(|&c| tree.loc(c)).collect();
-    pts.push(tree.loc(node));
-    let bbox = Rect::bounding(&pts).expect("non-empty");
-    f.push(bbox.area_um2() / 1_000.0);
-    f.push(bbox.aspect_ratio());
-    // move descriptors: drive delta, displacement, child-cap delta
-    let (ddrive, dist, dcap) = match *mv {
-        Move::SizeDisplace { node, dir, resize } => {
-            let c = tree.cell(node).expect("buffer");
-            let nc = resized(lib, c, resize);
-            (
-                lib.cell(nc).drive - lib.cell(c).drive,
-                if dir.is_some() { cfg.displace_um } else { 0.0 },
-                lib.cell(nc).input_cap_ff - lib.cell(c).input_cap_ff,
-            )
-        }
-        Move::ChildSize {
-            child,
-            child_resize,
-            ..
-        } => {
-            let c = tree.cell(child).expect("buffer");
-            let nc = resized(lib, c, child_resize);
-            (
-                lib.cell(nc).drive - lib.cell(c).drive,
-                cfg.displace_um,
-                lib.cell(nc).input_cap_ff - lib.cell(c).input_cap_ff,
-            )
-        }
-        Move::Reassign { node, new_parent } => {
-            let p = tree.parent(node).expect("non-root");
-            (0.0, tree.loc(new_parent).manhattan_um(tree.loc(p)), 0.0)
-        }
-    };
-    f.push(ddrive);
-    f.push(dist);
-    f.push(dcap);
-    debug_assert_eq!(f.len(), N_FEATURES);
-    (f, detail)
+    let est = MoveEstimator::new(tree, lib, cfg, vec![(corner, timing)]);
+    est.estimate(mv).swap_remove(0).0.to_vec()
 }
 
 /// Which learner backs a [`DeltaLatencyModel`].
@@ -579,7 +777,10 @@ pub fn build_dataset(lib: &Library, cfg: &TrainConfig) -> Dataset {
         }
         // deterministic stride sampling for diversity under the cap
         let stride = all_moves.len().div_ceil(cfg.moves_per_case.max(1)).max(1);
-        for mv in all_moves.into_iter().step_by(stride) {
+        let sampled: Vec<Move> = all_moves.into_iter().step_by(stride).collect();
+        let corners = lib.corner_ids().zip(&before).collect();
+        let est = MoveEstimator::new(&case.tree, lib, &mcfg, corners).with_tables(&sampled);
+        for (mv, estimate) in sampled.iter().zip(est.estimate_all(&sampled)) {
             let primary = mv.primary_node();
             let sinks: Vec<NodeId> = case
                 .tree
@@ -590,11 +791,10 @@ pub fn build_dataset(lib: &Library, cfg: &TrainConfig) -> Dataset {
                 continue;
             }
             let mut trial = case.tree.clone();
-            if apply_move(&mut trial, lib, &fp, &mcfg, &mv).is_err() {
+            if apply_move(&mut trial, lib, &fp, &mcfg, mv).is_err() {
                 continue;
             }
-            for k in lib.corner_ids() {
-                let feats = move_features(&case.tree, lib, k, &before[k.0], &mv, &mcfg);
+            for (k, (feats, _)) in lib.corner_ids().zip(estimate) {
                 let after = timer.analyze(&trial, lib, k);
                 let baseline: f64 = sinks
                     .iter()
@@ -606,7 +806,7 @@ pub fn build_dataset(lib: &Library, cfg: &TrainConfig) -> Dataset {
                     .map(|&s| after.arrival_ps(s) - before[k.0].arrival_ps(s))
                     .sum::<f64>()
                     / sinks.len() as f64;
-                per_corner[k.0].x.push(feats);
+                per_corner[k.0].x.push(feats.to_vec());
                 per_corner[k.0].y.push(target);
                 per_corner[k.0].lat.push(baseline);
             }
@@ -724,9 +924,17 @@ impl DeltaLatencyModel {
     ///
     /// Panics if `corner` is out of range.
     pub fn predict(&self, corner: CornerId, features: &[f64]) -> f64 {
-        let z = self.scalers[corner.0].transform(features);
+        let scaler = &self.scalers[corner.0];
         let (mean, std) = self.y_norm[corner.0];
-        self.models[corner.0].predict(&z) * std + mean
+        let z = if features.len() <= N_FEATURES {
+            // the scoring hot path: standardized on the stack
+            let mut z = [0.0; N_FEATURES];
+            scaler.transform_into(features, &mut z);
+            self.models[corner.0].predict(&z[..features.len().min(scaler.width())])
+        } else {
+            self.models[corner.0].predict(&scaler.transform(features))
+        };
+        z * std + mean
     }
 }
 

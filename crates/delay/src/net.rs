@@ -1,5 +1,8 @@
 //! Moment computation and delay/slew metrics on RC trees.
 
+use clk_liberty::WireRc;
+use clk_route::WireTree;
+
 use crate::rc::RcTree;
 
 /// Which wire delay metric to use.
@@ -14,12 +17,14 @@ pub enum WireModel {
 
 /// First/second moments and derived delay & slew metrics at every node of
 /// an [`RcTree`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetTiming {
-    /// First moment (= Elmore delay), ps, per RC node.
-    m1: Vec<f64>,
-    /// Second moment `m̃2 = Σ R·C·m1`, ps², per RC node.
-    m2: Vec<f64>,
+    /// Number of analyzed nodes.
+    n: usize,
+    /// First moments (= Elmore delay, ps) of every node, then second
+    /// moments `m̃2 = Σ R·C·m1` (ps²) of every node; a lumped analysis
+    /// keeps its node capacitances after them.
+    m: Vec<f64>,
     /// Total net capacitance, fF.
     total_cap_ff: f64,
 }
@@ -28,45 +33,64 @@ impl NetTiming {
     /// Computes moments for every node of `tree` in O(n).
     pub fn analyze(tree: &RcTree) -> Self {
         let n = tree.node_count();
-        // Downstream capacitance per node (reverse topological order works
-        // because parents precede children).
-        let mut down_cap: Vec<f64> = (0..n).map(|i| tree.cap_ff(i)).collect();
-        for i in (1..n).rev() {
-            let p = tree.parent(i).expect("non-root");
-            down_cap[p] += down_cap[i];
-        }
-        // m1 (Elmore): m1(child) = m1(parent) + R_edge * downstream cap
-        let mut m1 = vec![0.0; n];
-        for i in 1..n {
-            let p = tree.parent(i).expect("non-root");
-            m1[i] = m1[p] + tree.res_kohm(i) * down_cap[i];
-        }
-        // m̃2: same recursion with cap weights C·m1
-        let mut down_w: Vec<f64> = (0..n).map(|i| tree.cap_ff(i) * m1[i]).collect();
-        for i in (1..n).rev() {
-            let p = tree.parent(i).expect("non-root");
-            down_w[p] += down_w[i];
-        }
-        let mut m2 = vec![0.0; n];
-        for i in 1..n {
-            let p = tree.parent(i).expect("non-root");
-            m2[i] = m2[p] + tree.res_kohm(i) * down_w[i];
-        }
+        let mut m = vec![0.0; 2 * n];
+        let parent = |i: usize| tree.parent(i).expect("non-root");
+        moments(&mut m, parent, |i| tree.res_kohm(i), &tree.cap_ff);
         NetTiming {
-            m1,
-            m2,
+            n,
+            m,
             total_cap_ff: tree.total_cap_ff(),
         }
     }
 
+    /// Moments of the *lumped* extraction of `wt` — one π-segment per
+    /// wire edge, as [`RcTree::extract`] builds with a pitch longer than
+    /// every edge — computed on the wire tree directly into `self`,
+    /// without building the [`RcTree`]. Node `i` of the result is wire
+    /// node `i`, and every value is bit-identical to `NetTiming::analyze`
+    /// of that extraction. The storage is reused: a loop analyzing many
+    /// nets allocates nothing once it has grown to the largest net.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a load references a node out of range.
+    pub fn reanalyze_lumped(
+        &mut self,
+        wt: &WireTree,
+        rc: WireRc,
+        loads: impl IntoIterator<Item = (usize, f64)>,
+    ) {
+        let n = wt.node_count();
+        let parent = |i: usize| wt.parent(i).expect("non-root");
+        self.n = n;
+        self.m.clear();
+        self.m.resize(3 * n, 0.0);
+        let (m, cap) = self.m.split_at_mut(2 * n);
+        // the extraction's arithmetic, edge by edge in topological order
+        for i in 1..n {
+            let seg_c = rc.c_per_um * wt.edge_len_um(i);
+            cap[parent(i)] += seg_c / 2.0;
+            cap[i] = seg_c / 2.0;
+        }
+        for (w, c) in loads {
+            cap[w] += c;
+        }
+        self.total_cap_ff = cap.iter().sum();
+        moments(m, parent, |i| rc.r_per_um * wt.edge_len_um(i), cap);
+    }
+
+    fn m1(&self, i: usize) -> f64 {
+        self.m[i]
+    }
+
     /// Elmore delay from the driver to node `i`, ps.
     pub fn elmore_ps(&self, i: usize) -> f64 {
-        self.m1[i]
+        self.m1(i)
     }
 
     /// Second moment `m̃2` at node `i`, ps².
     pub fn m2(&self, i: usize) -> f64 {
-        self.m2[i]
+        self.m[self.n + i]
     }
 
     /// Wire delay to node `i` under the chosen metric, ps.
@@ -75,13 +99,13 @@ impl NetTiming {
     /// the delay is zero.
     pub fn delay_ps(&self, i: usize, model: WireModel) -> f64 {
         match model {
-            WireModel::Elmore => self.m1[i],
+            WireModel::Elmore => self.m1(i),
             WireModel::D2m => {
-                let m2 = self.m2[i];
+                let m2 = self.m2(i);
                 if m2 <= 0.0 {
                     0.0
                 } else {
-                    std::f64::consts::LN_2 * self.m1[i] * self.m1[i] / m2.sqrt()
+                    std::f64::consts::LN_2 * self.m1(i) * self.m1(i) / m2.sqrt()
                 }
             }
         }
@@ -90,7 +114,7 @@ impl NetTiming {
     /// Two-moment wire slew (10–90%-like) at node `i`, ps:
     /// `ln9 · √(2·m̃2 − m1²)`, clamped at 0 for near-lumped nets.
     pub fn wire_slew_ps(&self, i: usize) -> f64 {
-        let var = 2.0 * self.m2[i] - self.m1[i] * self.m1[i];
+        let var = 2.0 * self.m2(i) - self.m1(i) * self.m1(i);
         if var <= 0.0 {
             0.0
         } else {
@@ -105,7 +129,45 @@ impl NetTiming {
 
     /// Number of analyzed nodes.
     pub fn node_count(&self) -> usize {
-        self.m1.len()
+        self.n
+    }
+}
+
+/// Both moment recursions over a topologically ordered tree given by
+/// `parent`, edge resistances `res` and node capacitances `cap`, into the
+/// zeroed `m` (first moments, then second moments). The downstream sums
+/// are accumulated in the second-moment half before it is overwritten,
+/// parents first.
+fn moments(
+    m: &mut [f64],
+    parent: impl Fn(usize) -> usize,
+    res: impl Fn(usize) -> f64,
+    cap: &[f64],
+) {
+    let n = cap.len();
+    let (m1, m2) = m.split_at_mut(n);
+    // Downstream capacitance per node (reverse topological order works
+    // because parents precede children).
+    m2.copy_from_slice(cap);
+    for i in (1..n).rev() {
+        m2[parent(i)] += m2[i];
+    }
+    // m1 (Elmore): m1(child) = m1(parent) + R_edge * downstream cap
+    for i in 1..n {
+        m1[i] = m1[parent(i)] + res(i) * m2[i];
+    }
+    // m̃2: same recursion with cap weights C·m1
+    for i in 0..n {
+        m2[i] = cap[i] * m1[i];
+    }
+    for i in (1..n).rev() {
+        m2[parent(i)] += m2[i];
+    }
+    if n > 0 {
+        m2[0] = 0.0;
+    }
+    for i in 1..n {
+        m2[i] = m2[parent(i)] + res(i) * m2[i];
     }
 }
 

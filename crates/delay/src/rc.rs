@@ -12,7 +12,7 @@ pub struct RcTree {
     /// Series resistance from node to parent, kΩ.
     res_kohm: Vec<f64>,
     /// Lumped capacitance at the node, fF.
-    cap_ff: Vec<f64>,
+    pub(crate) cap_ff: Vec<f64>,
     /// RC node index of each wire-tree node.
     wire_to_rc: Vec<usize>,
 }

@@ -83,6 +83,31 @@ proptest! {
         prop_assert!(df <= dc + 1e-9, "fine {df} > coarse {dc}");
     }
 
+    /// The lumped analysis on the wire tree reproduces the single-segment
+    /// extraction plus moment analysis bit for bit, at every node.
+    #[test]
+    fn lumped_analysis_matches_extraction(
+        edges in prop::collection::vec((0usize..1000, -200_000i64..200_000, -200_000i64..200_000), 0..30),
+        loads in prop::collection::vec((0usize..1000, 0.0f64..30.0), 0..12),
+    ) {
+        let mut wt = WireTree::new(Point::new(0, 0));
+        for &(p, x, y) in &edges {
+            wt.add_child(p % wt.node_count(), Point::new(x, y));
+        }
+        let loads: Vec<(usize, f64)> = loads.iter().map(|&(w, c)| (w % wt.node_count(), c)).collect();
+        let rc = WireRc { r_per_um: 2.3e-3, c_per_um: 0.17 };
+        let rct = RcTree::extract(&wt, rc, &loads, 1.0e9);
+        let full = NetTiming::analyze(&rct);
+        let mut lumped = NetTiming::default();
+        lumped.reanalyze_lumped(&wt, rc, loads.iter().copied());
+        prop_assert_eq!(full.total_cap_ff().to_bits(), lumped.total_cap_ff().to_bits());
+        for w in 0..wt.node_count() {
+            let r = rct.rc_node_of_wire_node(w);
+            prop_assert_eq!(full.elmore_ps(r).to_bits(), lumped.elmore_ps(w).to_bits());
+            prop_assert_eq!(full.m2(r).to_bits(), lumped.m2(w).to_bits());
+        }
+    }
+
     /// PERI merging is symmetric, monotone and bounded below by max.
     #[test]
     fn peri_properties(a in 0.0f64..500.0, b in 0.0f64..500.0, c in 0.0f64..500.0) {

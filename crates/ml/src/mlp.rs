@@ -167,23 +167,37 @@ impl Mlp {
     }
 }
 
+/// Layer width up to which inference keeps its activations on the stack.
+const STACK_WIDTH: usize = 64;
+
 impl Regressor for Mlp {
     fn predict(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dims[0], "feature width mismatch");
         let n_layers = self.dims.len() - 1;
-        let mut act = x.to_vec();
+        // two ping-pong activation buffers, heap-allocated only for wide
+        // networks: inference runs per candidate move on every worker
+        let width = self.dims.iter().copied().max().unwrap_or(0);
+        let mut stack = [0.0; 2 * STACK_WIDTH];
+        let mut heap = Vec::new();
+        let buf: &mut [f64] = if width <= STACK_WIDTH {
+            &mut stack
+        } else {
+            heap.resize(2 * width, 0.0);
+            &mut heap
+        };
+        let (mut act, mut z) = buf.split_at_mut(buf.len() / 2);
+        act[..x.len()].copy_from_slice(x);
         for l in 0..n_layers {
             let (din, dout) = (self.dims[l], self.dims[l + 1]);
-            let mut z = vec![0.0; dout];
-            for (o, zo) in z.iter_mut().enumerate() {
+            for (o, zo) in z[..dout].iter_mut().enumerate() {
                 let mut v = self.biases[l][o];
                 let wrow = &self.weights[l][o * din..(o + 1) * din];
-                for (wi, ai) in wrow.iter().zip(&act) {
+                for (wi, ai) in wrow.iter().zip(&act[..din]) {
                     v += wi * ai;
                 }
                 *zo = if l + 1 == n_layers { v } else { v.tanh() };
             }
-            act = z;
+            std::mem::swap(&mut act, &mut z);
         }
         act[0]
     }

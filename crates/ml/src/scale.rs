@@ -56,6 +56,15 @@ impl StandardScaler {
             .collect()
     }
 
+    /// [`StandardScaler::transform`] into `out` (its first
+    /// `min(x.len(), width)` entries), without allocating.
+    pub fn transform_into(&self, x: &[f64], out: &mut [f64]) {
+        let z = x.iter().zip(self.mean.iter().zip(&self.std));
+        for (o, (v, (m, s))) in out.iter_mut().zip(z) {
+            *o = (v - m) / s;
+        }
+    }
+
     /// Standardizes a batch.
     pub fn transform_batch(&self, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
         xs.iter().map(|x| self.transform(x)).collect()

@@ -40,6 +40,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 pub mod arcs;
+pub mod euler;
 pub mod io;
 pub mod pairs;
 pub mod place;
@@ -47,6 +48,7 @@ pub mod stats;
 pub mod tree;
 
 pub use arcs::{rebuild_arc, rebuild_arc_legalized, Arc, ArcId, ArcSet};
+pub use euler::SinkIndex;
 pub use pairs::SinkPair;
 pub use place::Floorplan;
 pub use stats::TreeStats;

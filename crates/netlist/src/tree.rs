@@ -386,6 +386,13 @@ impl ClockTree {
             .filter(move |&id| matches!(self.node(id).kind, NodeKind::Buffer(_)))
     }
 
+    /// Number of node slots ever allocated (live nodes and tombstones):
+    /// one past the largest [`NodeId`], the length of a table indexed by
+    /// node id.
+    pub fn slot_count(&self) -> usize {
+        self.nodes.len()
+    }
+
     /// Number of live nodes.
     pub fn len(&self) -> usize {
         self.alive.iter().filter(|&&a| a).count()

@@ -7,7 +7,7 @@
 
 use clk_geom::Point;
 use clk_liberty::{CellId, Library, StdCorners};
-use clk_netlist::{io, ArcSet, ClockTree, NodeId, NodeKind, SinkPair, TreeStats};
+use clk_netlist::{io, ArcSet, ClockTree, NodeId, NodeKind, SinkIndex, SinkPair, TreeStats};
 use proptest::prelude::*;
 
 fn arb_point() -> impl Strategy<Value = Point> {
@@ -108,6 +108,44 @@ proptest! {
             tree.remove_buffer(victim).expect("victim is a buffer");
             prop_assert_eq!(tree.buffers().count(), before - 1);
             prop_assert!(tree.validate().is_ok());
+        }
+    }
+
+    /// Euler-tour subtree intervals list exactly the sinks an ancestor
+    /// walk finds, for every live node — also after buffer removals have
+    /// left tombstones and re-parented subtrees — and the sink→pair index
+    /// lists exactly the pairs touching each sink, in ascending order.
+    #[test]
+    fn euler_intervals_match_descendant_scan(ops in prop::collection::vec((0u8..255, 0usize..32, arb_point()), 1..40),
+                                             removals in prop::collection::vec(0usize..64, 0..6),
+                                             picks in prop::collection::vec((0usize..64, 0usize..64), 0..30)) {
+        let mut tree = build_tree(&ops);
+        for &r in &removals {
+            let buffers: Vec<NodeId> = tree.buffers().collect();
+            if buffers.len() <= 1 {
+                break;
+            }
+            tree.remove_buffer(buffers[r % buffers.len()]).expect("victim is a buffer");
+        }
+        let sinks: Vec<NodeId> = tree.sinks().collect();
+        let pairs: Vec<SinkPair> = picks
+            .iter()
+            .map(|&(a, b)| SinkPair::new(sinks[a % sinks.len()], sinks[b % sinks.len()]))
+            .collect();
+        let idx = SinkIndex::new(&tree, &pairs);
+        prop_assert_eq!(idx.sink_count(), sinks.len());
+        for n in tree.node_ids() {
+            let scan: Vec<NodeId> = tree.sinks().filter(|&s| tree.is_descendant(s, n)).collect();
+            let mut euler = idx.subtree_sinks(n).to_vec();
+            euler.sort_unstable();
+            prop_assert_eq!(euler, scan, "subtree of {}", n);
+        }
+        for &s in &sinks {
+            let p = idx.position(s).expect("live sinks are indexed");
+            let scan: Vec<u32> = (0..pairs.len() as u32)
+                .filter(|&i| pairs[i as usize].a == s || pairs[i as usize].b == s)
+                .collect();
+            prop_assert_eq!(idx.pairs_of(p), &scan[..], "pairs of {}", s);
         }
     }
 }

@@ -121,9 +121,9 @@ pub const MAX_ONE_STEINER_TERMS: usize = 12;
 /// Exact for ≤ 2 pins; for 3 pins the single Hanan candidate scan finds the
 /// optimal median point, so it is exact there too. Above
 /// [`MAX_ONE_STEINER_TERMS`] terminals the O(n⁴) Hanan scan is skipped and
-/// the plain Manhattan MST is returned — the delta-latency estimator calls
-/// this in a hot loop over every candidate move, and MST wirelength is
-/// within a few % of RSMT at clock-net fanouts.
+/// the plain Manhattan MST is returned: each added Steiner point costs a
+/// full Hanan-grid scan of MSTs, and MST wirelength is within a few % of
+/// RSMT at clock-net fanouts.
 pub fn rsmt(driver: Point, pins: &[Point]) -> WireTree {
     // Deduplicate terminals while remembering every original pin location.
     let mut terms: Vec<Point> = Vec::with_capacity(pins.len() + 1);
@@ -134,8 +134,13 @@ pub fn rsmt(driver: Point, pins: &[Point]) -> WireTree {
         }
     }
     let n_terms = terms.len();
-    if n_terms == 1 {
-        return WireTree::new(driver);
+    let mut tree = WireTree::new(driver);
+    if n_terms <= 2 {
+        // a single edge: no Hanan point shortens a two-terminal MST
+        if let Some(&pin) = terms.get(1) {
+            tree.add_child(WireTree::ROOT, pin);
+        }
+        return tree;
     }
 
     let mut nodes = terms.clone();
@@ -203,7 +208,6 @@ pub fn rsmt(driver: Point, pins: &[Point]) -> WireTree {
             adj[*p].push(i);
         }
     }
-    let mut tree = WireTree::new(driver);
     let mut tree_idx = vec![usize::MAX; nodes.len()];
     tree_idx[0] = WireTree::ROOT;
     let mut queue = std::collections::VecDeque::from([0usize]);
