@@ -15,7 +15,7 @@ use clk_geom::{Point, Rect};
 use clk_liberty::{CornerId, Library, StdCorners, WireRc};
 use clk_lp::{Problem, RowKind};
 use clk_netlist::Floorplan;
-use clk_obs::{Level, Obs, ObsConfig};
+use clk_obs::{Deadline, Level, Obs, ObsConfig};
 use clk_route::{rsmt, single_trunk, WireTree};
 use clk_skewopt::local::{Ranker, ScoreCtx};
 use clk_skewopt::predictor::{move_features, Topo};
@@ -157,14 +157,14 @@ fn bench_obs(c: &mut Criterion) {
     g.bench_function("simplex_180x120_obs_disabled", |b| {
         b.iter_batched(
             || p.clone(),
-            |p| clk_lp::solve_with_obs(&p, &disabled),
+            |p| clk_lp::solve_with_deadline(&p, &disabled, &Deadline::none()),
             BatchSize::SmallInput,
         );
     });
     g.bench_function("simplex_180x120_obs_quiet", |b| {
         b.iter_batched(
             || p.clone(),
-            |p| clk_lp::solve_with_obs(&p, &quiet),
+            |p| clk_lp::solve_with_deadline(&p, &quiet, &Deadline::none()),
             BatchSize::SmallInput,
         );
     });

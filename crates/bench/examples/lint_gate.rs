@@ -1,24 +1,25 @@
 //! Demonstrates the flow's lint gates: a fresh testcase passes the
 //! full audit, while a corrupted tree is rejected at the phase boundary
-//! with the offending diagnostics in the panic message.
+//! with a typed error carrying the offending diagnostics.
 //!
 //! Run with `cargo run -p clk-bench --example lint_gate` (the gates are
 //! active in debug builds; in release they are off by default).
 
 use clk_cts::{Testcase, TestcaseKind};
 use clk_lint::LintLevel;
-use clk_skewopt::lint_gate;
+use clk_skewopt::check_lint_gate;
 
 fn main() {
     let tc = Testcase::generate(TestcaseKind::Cls1v1, 24, 7);
 
-    lint_gate(
+    check_lint_gate(
         "demo (clean tree)",
         LintLevel::ErrorsOnly,
         &tc.tree,
         &tc.lib,
         &tc.floorplan,
-    );
+    )
+    .expect("a fresh testcase passes the gate");
     println!("clean tree: gate passed");
 
     // corrupt a parent/child link the way a buggy ECO might
@@ -30,17 +31,14 @@ fn main() {
     let parent = bad.parent(victim).expect("has parent");
     bad.debug_unlink_child(parent, victim);
 
-    let outcome = std::panic::catch_unwind(|| {
-        lint_gate(
-            "demo (corrupted tree)",
-            LintLevel::ErrorsOnly,
-            &bad,
-            &tc.lib,
-            &tc.floorplan,
-        );
-    });
-    match outcome {
+    match check_lint_gate(
+        "demo (corrupted tree)",
+        LintLevel::ErrorsOnly,
+        &bad,
+        &tc.lib,
+        &tc.floorplan,
+    ) {
         Ok(()) => println!("corrupted tree: gate let it through (BUG)"),
-        Err(_) => println!("corrupted tree: gate rejected it"),
+        Err(e) => println!("corrupted tree: gate rejected it\n{e}"),
     }
 }

@@ -19,11 +19,12 @@ use clk_bench::{ExpArgs, Stopwatch};
 use clk_cts::{balance_by_detours, variation_sum, BalanceMode, Testcase, TestcaseKind};
 use clk_delay::WireModel;
 use clk_liberty::CornerId;
+use clk_netlist::ClockTree;
 use clk_skewopt::local::Ranker;
 use clk_skewopt::predictor::Topo;
 use clk_skewopt::{
-    global_optimize, local_optimize, DeltaLatencyModel, GlobalConfig, LocalConfig, ModelKind,
-    StageLuts, TrainConfig,
+    global_optimize, local_optimize, DeltaLatencyModel, FaultCtx, GlobalConfig, LocalConfig,
+    ModelKind, StageLuts, TrainConfig,
 };
 
 fn main() {
@@ -44,6 +45,30 @@ fn main() {
         max_pairs: if args.quick { 40 } else { 100 },
         rounds: 2,
         ..GlobalConfig::default()
+    };
+    let global = |tree: &ClockTree, cfg: &GlobalConfig| {
+        global_optimize(
+            tree,
+            &tc.lib,
+            &tc.floorplan,
+            &luts,
+            cfg,
+            None,
+            &mut FaultCtx::passive(),
+        )
+        .expect("CTS trees time")
+    };
+    let local = |tree: &mut ClockTree, ranker| {
+        local_optimize(
+            tree,
+            &tc.lib,
+            &tc.floorplan,
+            ranker,
+            &lcfg,
+            None,
+            &mut FaultCtx::passive(),
+        )
+        .expect("CTS trees time")
     };
 
     // --- 1. ranker ablation ---
@@ -66,7 +91,7 @@ fn main() {
     );
     for (name, ranker) in rankers {
         let mut tree = tc.tree.clone();
-        let rep = local_optimize(&mut tree, &tc.lib, &tc.floorplan, ranker, &lcfg);
+        let rep = local(&mut tree, ranker);
         let red = rep.variation_before - rep.variation_after;
         println!(
             "{:<22} {:>9.1}ps {:>14} {:>12.3}",
@@ -99,7 +124,7 @@ fn main() {
     ];
     println!("{:<24} {:>12} {:>8}", "variant", "variation", "arcs");
     for (name, cfg) in variants {
-        let (_, rep) = global_optimize(&tc.tree, &tc.lib, &tc.floorplan, &luts, &cfg);
+        let (_, rep) = global(&tc.tree, &cfg);
         println!(
             "{:<24} {:>6.1}->{:<6.1} {:>6}",
             name, rep.variation_before, rep.variation_after, rep.arcs_changed
@@ -108,9 +133,8 @@ fn main() {
 
     // --- 3. power / area cost of the reduction (future work i) ---
     println!("\n=== power/area cost of the global-local reduction ===");
-    let (gtree, grep) = global_optimize(&tc.tree, &tc.lib, &tc.floorplan, &luts, &gcfg);
-    let mut full = gtree;
-    let lrep = local_optimize(&mut full, &tc.lib, &tc.floorplan, Ranker::Ml(&hsm), &lcfg);
+    let (mut full, grep) = global(&tc.tree, &gcfg);
+    let lrep = local(&mut full, Ranker::Ml(&hsm));
     let timer = clk_sta::Timer::golden();
     let p0 = clk_sta::clock_power(
         &tc.tree,
@@ -164,8 +188,8 @@ fn main() {
     );
     let v_bal = variation_sum(&tc.tree, &tc.lib);
     let v_unbal = variation_sum(&unbalanced, &tc.lib);
-    let (_, rep_bal) = global_optimize(&tc.tree, &tc.lib, &tc.floorplan, &luts, &gcfg);
-    let (_, rep_unbal) = global_optimize(&unbalanced, &tc.lib, &tc.floorplan, &luts, &gcfg);
+    let (_, rep_bal) = global(&tc.tree, &gcfg);
+    let (_, rep_unbal) = global(&unbalanced, &gcfg);
     println!(
         "balanced start:   {v_bal:.1} -> {:.1} ps",
         rep_bal.variation_after

@@ -27,8 +27,8 @@ use clk_cts::{Testcase, TestcaseKind};
 use clk_lint::{DesignCtx, LintRunner};
 use clk_obs::{json, Level, MetricValue, Obs, ObsConfig, SharedBuf, Value};
 use clk_skewopt::{
-    try_optimize, try_optimize_with, CancelToken, DeltaLatencyModel, FaultKind, FaultPlan,
-    FaultSite, Flow, StageLuts,
+    try_optimize_with, CancelToken, DeltaLatencyModel, FaultKind, FaultPlan, FaultSite, Flow,
+    StageLuts,
 };
 
 /// The fault-log kind each injection site must show up as.
@@ -76,7 +76,9 @@ fn main() -> ExitCode {
     println!("chaos: seed {seed}, {n} sinks, flow global-local");
     let sw = Stopwatch::start("chaos");
     let tc = Testcase::generate(TestcaseKind::Cls1v1, n, seed);
-    let report = match try_optimize(&tc, Flow::GlobalLocal, &cfg) {
+    let luts = StageLuts::characterize(&tc.lib);
+    let model = DeltaLatencyModel::train(&tc.lib, cfg.model_kind, &cfg.train);
+    let report = match try_optimize_with(&tc, Flow::GlobalLocal, &cfg, Some(&luts), Some(&model)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("FAIL: flow did not survive injection: {e}");

@@ -9,10 +9,11 @@
 
 use clk_bench::{ExpArgs, Stopwatch};
 use clk_cts::{Testcase, TestcaseKind};
+use clk_netlist::ClockTree;
 use clk_skewopt::local::Ranker;
 use clk_skewopt::{
-    global_optimize, local_optimize, DeltaLatencyModel, GlobalConfig, LocalConfig, LocalReport,
-    ModelKind, StageLuts, TrainConfig,
+    global_optimize, local_optimize, DeltaLatencyModel, FaultCtx, GlobalConfig, LocalConfig,
+    LocalReport, ModelKind, StageLuts, TrainConfig,
 };
 
 fn print_trace(label: &str, rep: &LocalReport) {
@@ -55,20 +56,38 @@ fn main() {
         ..LocalConfig::default()
     };
 
+    let global = || {
+        global_optimize(
+            &tc.tree,
+            &tc.lib,
+            &tc.floorplan,
+            &luts,
+            &gcfg,
+            None,
+            &mut FaultCtx::passive(),
+        )
+        .expect("CTS trees time")
+    };
+    let local = |tree: &mut ClockTree, ranker, cfg: &LocalConfig| {
+        local_optimize(
+            tree,
+            &tc.lib,
+            &tc.floorplan,
+            ranker,
+            cfg,
+            None,
+            &mut FaultCtx::passive(),
+        )
+        .expect("CTS trees time")
+    };
+
     // local after global (the paper's flow for this figure)
-    let (mut after_global, greport) =
-        global_optimize(&tc.tree, &tc.lib, &tc.floorplan, &luts, &gcfg);
+    let (mut after_global, greport) = global();
     println!(
         "global phase: {:.1} -> {:.1} ps ({} arcs)",
         greport.variation_before, greport.variation_after, greport.arcs_changed
     );
-    let ml_after_global = local_optimize(
-        &mut after_global,
-        &tc.lib,
-        &tc.floorplan,
-        Ranker::Ml(&model),
-        &lcfg,
-    );
+    let ml_after_global = local(&mut after_global, Ranker::Ml(&model), &lcfg);
     print_trace(
         "local iterations after global (predictor-ranked)",
         &ml_after_global,
@@ -76,26 +95,18 @@ fn main() {
 
     // standalone local
     let mut standalone = tc.tree.clone();
-    let ml_standalone = local_optimize(
-        &mut standalone,
-        &tc.lib,
-        &tc.floorplan,
-        Ranker::Ml(&model),
-        &lcfg,
-    );
+    let ml_standalone = local(&mut standalone, Ranker::Ml(&model), &lcfg);
     print_trace("standalone local (predictor-ranked)", &ml_standalone);
 
     // random baseline on the same post-global start point, capped to the
     // same number of golden-timer evaluations the predictor run used
-    let (mut rand_tree, _) = global_optimize(&tc.tree, &tc.lib, &tc.floorplan, &luts, &gcfg);
+    let (mut rand_tree, _) = global();
     let rand_cfg = LocalConfig {
         max_golden_evals: ml_after_global.golden_evals.max(5),
         ..lcfg.clone()
     };
-    let random = local_optimize(
+    let random = local(
         &mut rand_tree,
-        &tc.lib,
-        &tc.floorplan,
         Ranker::Random(args.seed ^ 0x5EED),
         &rand_cfg,
     );

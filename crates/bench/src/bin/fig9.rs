@@ -9,7 +9,7 @@
 use clk_bench::{ascii_histogram, ExpArgs, Stopwatch};
 use clk_cts::{Testcase, TestcaseKind};
 use clk_netlist::ClockTree;
-use clk_skewopt::{optimize_with, DeltaLatencyModel, Flow, StageLuts};
+use clk_skewopt::{try_optimize_with, DeltaLatencyModel, Flow, StageLuts};
 use clk_sta::{pair_skews, Timer};
 
 /// Per-pair skew ratios over all pairs with |skew_c0| above 1 ps,
@@ -61,7 +61,8 @@ fn main() {
     }
     let luts = StageLuts::characterize(&tc.lib);
     let model = DeltaLatencyModel::train(&tc.lib, cfg.model_kind, &cfg.train);
-    let report = optimize_with(&tc, Flow::GlobalLocal, &cfg, Some(&luts), Some(&model));
+    let report = try_optimize_with(&tc, Flow::GlobalLocal, &cfg, Some(&luts), Some(&model))
+        .expect("flow completes");
     println!(
         "variation: {:.1} -> {:.1} ps ({:.1}%)\n",
         report.variation_before,

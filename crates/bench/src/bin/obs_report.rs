@@ -26,7 +26,7 @@ use std::process::ExitCode;
 use clk_bench::{ExpArgs, Stopwatch};
 use clk_cts::{Testcase, TestcaseKind};
 use clk_obs::{json, Level, Obs, ObsConfig, SharedBuf, Value};
-use clk_skewopt::{try_optimize, Flow};
+use clk_skewopt::{try_optimize_with, DeltaLatencyModel, Flow, StageLuts};
 
 /// One parsed JSONL record, keyed by the fields obs-report joins on.
 struct Rec {
@@ -82,7 +82,9 @@ fn main() -> ExitCode {
     println!("obs-report: seed {seed}, {n} sinks, flow global-local, verbosity debug");
     let tc = Testcase::generate(TestcaseKind::Cls1v1, n, seed);
     let sw = Stopwatch::start("obs-report");
-    let report = match try_optimize(&tc, Flow::GlobalLocal, &cfg) {
+    let luts = StageLuts::characterize(&tc.lib);
+    let model = DeltaLatencyModel::train(&tc.lib, cfg.model_kind, &cfg.train);
+    let report = match try_optimize_with(&tc, Flow::GlobalLocal, &cfg, Some(&luts), Some(&model)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("FAIL: instrumented flow failed: {e}");

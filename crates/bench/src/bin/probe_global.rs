@@ -5,7 +5,7 @@
 #![allow(clippy::float_arithmetic)]
 
 use clk_cts::{Testcase, TestcaseKind};
-use clk_skewopt::{global_optimize, GlobalConfig, StageLuts};
+use clk_skewopt::{global_optimize, FaultCtx, GlobalConfig, StageLuts};
 
 fn main() {
     for seed in 1..=2u64 {
@@ -16,7 +16,17 @@ fn main() {
             lambdas: vec![0.01, 0.05, 0.2, 0.5],
             ..GlobalConfig::default()
         };
-        let (_, rep) = global_optimize(&tc.tree, &tc.lib, &tc.floorplan, &luts, &cfg);
+        let mut ctx = FaultCtx::passive();
+        let (_, rep) = global_optimize(
+            &tc.tree,
+            &tc.lib,
+            &tc.floorplan,
+            &luts,
+            &cfg,
+            None,
+            &mut ctx,
+        )
+        .expect("CTS trees time");
         println!(
             "seed {seed}: {:.1} -> {:.1} ({:.1}%), lambda {:?}, arcs {}, pivots {}",
             rep.variation_before,

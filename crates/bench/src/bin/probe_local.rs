@@ -2,7 +2,9 @@
 
 use clk_cts::{Testcase, TestcaseKind};
 use clk_skewopt::local::Ranker;
-use clk_skewopt::{local_optimize, DeltaLatencyModel, LocalConfig, ModelKind, TrainConfig};
+use clk_skewopt::{
+    local_optimize, DeltaLatencyModel, FaultCtx, LocalConfig, ModelKind, TrainConfig,
+};
 
 fn main() {
     let tc = Testcase::generate(TestcaseKind::Cls2v1, 128, 3);
@@ -18,7 +20,16 @@ fn main() {
         max_batches: 3,
         ..LocalConfig::default()
     };
-    let rep = local_optimize(&mut tree, &tc.lib, &tc.floorplan, Ranker::Ml(&model), &cfg);
+    let rep = local_optimize(
+        &mut tree,
+        &tc.lib,
+        &tc.floorplan,
+        Ranker::Ml(&model),
+        &cfg,
+        None,
+        &mut FaultCtx::passive(),
+    )
+    .expect("CTS trees time");
     println!(
         "{:.1} -> {:.1} ({} accepted, {} evals)",
         rep.variation_before,

@@ -12,7 +12,7 @@
 
 use clk_bench::{ExpArgs, Stopwatch};
 use clk_cts::{Testcase, TestcaseKind};
-use clk_skewopt::{global_optimize, worst_skew_optimize, GlobalConfig, StageLuts};
+use clk_skewopt::{global_optimize, worst_skew_optimize, FaultCtx, GlobalConfig, StageLuts};
 
 fn main() {
     let args = ExpArgs::parse();
@@ -26,7 +26,17 @@ fn main() {
         rounds: 2,
         ..GlobalConfig::default()
     };
-    let (_, ours) = global_optimize(&tc.tree, &tc.lib, &tc.floorplan, &luts, &gcfg);
+    let mut ctx = FaultCtx::passive();
+    let (_, ours) = global_optimize(
+        &tc.tree,
+        &tc.lib,
+        &tc.floorplan,
+        &luts,
+        &gcfg,
+        None,
+        &mut ctx,
+    )
+    .expect("CTS trees time");
     let (_, lung) = worst_skew_optimize(
         &tc.tree,
         &tc.lib,

@@ -24,7 +24,14 @@ fn main() {
         "{:>12} {:>16} {:>10}",
         "U (ps)", "sum|delta| (ps)", "feasible"
     );
-    for p in u_sweep(&tc.tree, &tc.lib, &luts, &cfg, 8) {
+    let curve = match u_sweep(&tc.tree, &tc.lib, &luts, &cfg, 8) {
+        Ok(curve) => curve,
+        Err(e) => {
+            eprintln!("usweep: {e}");
+            std::process::exit(1);
+        }
+    };
+    for p in curve {
         println!(
             "{:>12.1} {:>16.1} {:>10}",
             p.u,

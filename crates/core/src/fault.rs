@@ -8,17 +8,16 @@
 //! candidate ECO goes sideways. This module gives the flow that
 //! property:
 //!
-//! * [`FlowError`] is the typed error every checked entry point returns
+//! * [`FlowError`] is the typed error every flow entry point returns
 //!   instead of panicking;
 //! * [`FaultLog`] records every fault the runtime absorbed together
 //!   with the [`RecoveryAction`] taken, and is surfaced on
 //!   `OptReport::faults`;
-//! * [`TreeTxn`] wraps a phase or batch in a snapshot/rollback
+//! * [`TreeTxn`] wraps a local batch commit in a snapshot/rollback
 //!   transaction; [`Checkpoint`] persists a best-so-far tree through
 //!   the `.ctree` round trip so a timed-out flow still returns its best
 //!   legal result;
-//! * [`PhaseBudget`]/[`FlowBudget`] bound each phase's wall clock and
-//!   iterations;
+//! * [`PhaseBudget`]/[`FlowBudget`] bound each phase's wall clock;
 //! * [`Deadline`]/[`CancelToken`] (re-exported from `clk_obs::cancel`,
 //!   where the leaf crates can reach them) make every inner loop
 //!   interruptible: phases build one [`Deadline`] per run combining
@@ -45,9 +44,8 @@ use clk_sta::TimingError;
 // FlowError: the unified taxonomy
 // ---------------------------------------------------------------------
 
-/// Unified error type of the checked flow entry points
-/// (`try_optimize_with`, `global_optimize_checked`,
-/// `local_optimize_checked`, `check_lint_gate`).
+/// Unified error type of the flow entry points (`try_optimize_with`,
+/// `global_optimize`, `local_optimize`, `u_sweep`, `check_lint_gate`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlowError {
     /// The LP phase failed after the whole retry/degradation ladder.
@@ -169,8 +167,6 @@ pub enum FaultKind {
     /// The flow's [`CancelToken`] was cancelled (externally or by an
     /// armed deterministic trip) and the phase stopped at a safe point.
     Cancelled,
-    /// A phase exhausted its iteration budget.
-    IterationBudget,
     /// A phase returned a typed error absorbed by the flow.
     PhaseError,
     /// An LP certificate failed exact re-verification.
@@ -188,7 +184,6 @@ impl std::fmt::Display for FaultKind {
             FaultKind::LintGateFailed => "lint-gate-failed",
             FaultKind::PhaseTimeout => "phase-timeout",
             FaultKind::Cancelled => "cancelled",
-            FaultKind::IterationBudget => "iteration-budget",
             FaultKind::PhaseError => "phase-error",
             FaultKind::CertViolation => "cert-violation",
         })
@@ -522,15 +517,13 @@ impl FaultPlan {
 // Budgets
 // ---------------------------------------------------------------------
 
-/// Wall-clock and iteration bounds for one flow phase.
+/// Wall-clock bound for one flow phase (iteration counts are capped by
+/// `GlobalConfig::rounds` and `LocalConfig::max_iterations`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseBudget {
     /// Hard wall-clock bound; the phase returns its best-so-far result
     /// when exceeded. `None` = unbounded.
     pub wall_clock: Option<Duration>,
-    /// Cap on the phase's outer iterations (global rounds, local
-    /// iterations). `None` = use the phase config's own counts.
-    pub max_iterations: Option<usize>,
 }
 
 impl PhaseBudget {
@@ -544,14 +537,6 @@ impl PhaseBudget {
     /// yields the inert deadline (free to poll).
     pub fn deadline(&self, start: Instant, cancel: Option<&CancelToken>) -> Deadline {
         Deadline::new(self.wall_clock.map(|d| start + d), cancel.cloned())
-    }
-
-    /// Clamps an iteration count to the budget.
-    pub fn clamp_iterations(&self, n: usize) -> usize {
-        match self.max_iterations {
-            Some(cap) => n.min(cap),
-            None => n,
-        }
     }
 }
 
@@ -621,7 +606,7 @@ impl std::fmt::Display for PhaseProgress {
 }
 
 // ---------------------------------------------------------------------
-// Fault context: what checked entry points thread through
+// Fault context: what the phase entry points thread through
 // ---------------------------------------------------------------------
 
 /// Mutable fault-handling context one phase runs under: the (optional)
@@ -1007,13 +992,10 @@ mod tests {
     }
 
     #[test]
-    fn budget_clamps_and_deadlines() {
+    fn budget_deadlines() {
         let b = PhaseBudget {
             wall_clock: Some(Duration::from_millis(5)),
-            max_iterations: Some(2),
         };
-        assert_eq!(b.clamp_iterations(10), 2);
-        assert_eq!(PhaseBudget::unlimited().clamp_iterations(10), 10);
         let start = clk_obs::wall_now();
         let dl = b.deadline(start, None);
         assert!(dl.is_active());

@@ -1,13 +1,15 @@
 //! End-to-end flows (`global`, `local`, `global-local`) and the Table-5
 //! report, on top of the fault-tolerant runtime of [`crate::fault`]:
-//! every phase runs inside a snapshot transaction under its own budget,
-//! phase failures and lint-gate rejections roll back instead of
-//! propagating, and everything the flow absorbed is listed on
-//! [`OptReport::faults`].
+//! every phase runs on a copy of the committed tree under its own
+//! budget, phase failures and lint-gate rejections keep the pre-phase
+//! tree instead of propagating, and everything the flow absorbed is
+//! listed on [`OptReport::faults`].
+
+use std::time::Instant;
 
 use clk_lint::{DesignCtx, LintLevel, LintRunner};
 use clk_netlist::{ClockTree, Floorplan, TreeStats};
-use clk_obs::{kv, Ledger, LedgerRecord, Level, Obs};
+use clk_obs::{kv, Ledger, LedgerRecord, Level, Obs, SpanGuard};
 use clk_sta::{
     alpha_factors, clock_power, local_skew_ps, try_pair_skews, variation_report, Timer, TimingError,
 };
@@ -16,10 +18,10 @@ use clk_cts::Testcase;
 
 use crate::fault::{
     emit_fault, CancelToken, Checkpoint, Deadline, FaultCtx, FaultKind, FaultLog, FaultPlan,
-    FlowBudget, FlowError, PhaseProgress, RecoveryAction, TreeTxn,
+    FlowBudget, FlowError, PhaseBudget, PhaseProgress, RecoveryAction,
 };
-use crate::global::{global_optimize_checked, GlobalConfig, GlobalReport};
-use crate::local::{local_optimize_checked, LocalConfig, LocalReport, Ranker};
+use crate::global::{global_optimize, GlobalConfig, GlobalReport};
+use crate::local::{local_optimize, LocalConfig, LocalReport, Ranker};
 use crate::lut::StageLuts;
 use crate::predictor::{DeltaLatencyModel, ModelKind, TrainConfig};
 
@@ -63,7 +65,7 @@ pub struct FlowConfig {
     /// post-local). Defaults to `ErrorsOnly` in debug builds and `Off` in
     /// release, where the gates cost nothing.
     pub lint_level: LintLevel,
-    /// Per-phase wall-clock / iteration budgets (unbounded by default).
+    /// Per-phase wall-clock budgets (unbounded by default).
     pub budget: FlowBudget,
     /// Deterministic fault-injection plan, armed by the chaos harness.
     /// `None` (the default) injects nothing.
@@ -146,23 +148,6 @@ fn last_phase_checkpoint(ledger: &Ledger, fallback: f64) -> f64 {
     fallback
 }
 
-/// [`check_lint_gate`] with the legacy abort-on-failure contract.
-///
-/// # Panics
-///
-/// Panics when the audit fails at the configured level.
-pub fn lint_gate(
-    stage: &str,
-    level: LintLevel,
-    tree: &ClockTree,
-    lib: &clk_liberty::Library,
-    fp: &Floorplan,
-) {
-    if let Err(e) = check_lint_gate(stage, level, tree, lib, fp) {
-        panic!("{e}");
-    }
-}
-
 /// The Table-5 row: metric deltas of one flow on one testcase.
 #[derive(Debug, Clone)]
 pub struct OptReport {
@@ -218,57 +203,123 @@ impl OptReport {
     }
 }
 
-/// Runs `flow` on the testcase, characterizing LUTs and training the
-/// predictor as needed. For repeated runs share them via
-/// [`optimize_with`].
-///
-/// # Panics
-///
-/// Panics when the flow fails hard (untimeable input, failed input lint
-/// gate); use [`try_optimize`] for a typed error instead.
-pub fn optimize(tc: &Testcase, flow: Flow, cfg: &FlowConfig) -> OptReport {
-    match try_optimize(tc, flow, cfg) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
+/// The flow state phases run against: the committed tree plus what every
+/// phase bracket accumulates.
+struct PhaseRunner<'a> {
+    cfg: &'a FlowConfig,
+    tc: &'a Testcase,
+    flow_start: Instant,
+    tree: ClockTree,
+    faults: FaultLog,
+    progress: Vec<PhaseProgress>,
+    /// The ledger's committed variation checkpoint.
+    ledger_ckpt: f64,
+}
+
+impl PhaseRunner<'_> {
+    /// Runs one phase inside its bracket: the `phase.{phase}` span, the
+    /// ledger's `PhaseStart`/`PhaseEnd`, a [`FaultCtx`] under `budget` and
+    /// the flow's cancel token, the post-phase lint gate, the progress
+    /// marker, and fault absorption. `optimize` maps the committed tree to
+    /// the phase's tree, which is committed only when the phase succeeds
+    /// and passes the gate; otherwise the pre-phase tree stays and the
+    /// failure is logged as a rollback. `summarize` records a committed
+    /// report on the phase span. Returns the committed phase's report.
+    fn run<R>(
+        &mut self,
+        phase: &'static str,
+        budget: &PhaseBudget,
+        optimize: impl FnOnce(&ClockTree, &mut FaultCtx<'_>) -> Result<(ClockTree, R), FlowError>,
+        summarize: impl FnOnce(&R, &mut SpanGuard),
+    ) -> Option<R> {
+        let obs = &self.cfg.obs;
+        let ledger = obs.ledger();
+        let phase_start = clk_obs::wall_now();
+        let mut span = obs.span_at(
+            Level::Info,
+            &format!("phase.{phase}"),
+            vec![kv(
+                "budget_ms",
+                budget.wall_clock.map_or(-1.0, |d| d.as_secs_f64() * 1e3),
+            )],
+        );
+        if ledger.is_enabled() {
+            obs.ledger_append(LedgerRecord::PhaseStart {
+                phase: phase.to_string(),
+            });
+        }
+        let mut ctx = FaultCtx::new(
+            self.cfg.fault_plan.as_deref(),
+            budget.deadline(phase_start, Some(&self.cfg.cancel)),
+        )
+        .with_obs(obs.clone())
+        .with_origin(self.flow_start)
+        .with_seq_base(self.faults.next_seq());
+        let (lib, fp) = (&self.tc.lib, &self.tc.floorplan);
+        let report = match optimize(&self.tree, &mut ctx) {
+            Ok((tree, rep)) => {
+                let stage = format!("{phase} optimization");
+                match check_lint_gate(&stage, self.cfg.lint_level, &tree, lib, fp) {
+                    Ok(()) => {
+                        summarize(&rep, &mut span);
+                        self.tree = tree;
+                        Some(rep)
+                    }
+                    Err(e) => {
+                        ctx.record(
+                            "flow",
+                            FaultKind::LintGateFailed,
+                            RecoveryAction::Rollback,
+                            format!("{e}; keeping the pre-phase tree"),
+                        );
+                        None
+                    }
+                }
+            }
+            Err(e) => {
+                let kind = if e.is_interrupt() {
+                    ctx.interrupt_kind()
+                } else {
+                    FaultKind::PhaseError
+                };
+                ctx.record(
+                    "flow",
+                    kind,
+                    RecoveryAction::Rollback,
+                    format!("{phase} phase failed ({e}); keeping the pre-phase tree"),
+                );
+                None
+            }
+        };
+        if let Some(p) = ctx.progress.take() {
+            span.record("progress", p.to_string());
+            self.progress.push(p);
+        }
+        span.record("faults", ctx.log.len());
+        self.faults.absorb(ctx.log);
+        drop(span);
+        if ledger.is_enabled() {
+            if report.is_some() {
+                self.ledger_ckpt = last_phase_checkpoint(&ledger, self.ledger_ckpt);
+            }
+            obs.ledger_append(LedgerRecord::PhaseEnd {
+                phase: phase.to_string(),
+                committed: report.is_some(),
+                var: self.ledger_ckpt,
+            });
+        }
+        report
     }
 }
 
-/// [`optimize`] returning a typed [`FlowError`] instead of panicking.
+/// Runs `flow` on the testcase with pre-characterized LUTs
+/// ([`StageLuts::characterize`]) and a pre-trained model
+/// ([`DeltaLatencyModel::train`]) — per-technology artifacts the paper
+/// reuses across designs; pass `None` for the one a flow does not use.
 ///
-/// # Errors
-///
-/// See [`try_optimize_with`].
-pub fn try_optimize(tc: &Testcase, flow: Flow, cfg: &FlowConfig) -> Result<OptReport, FlowError> {
-    let luts =
-        matches!(flow, Flow::Global | Flow::GlobalLocal).then(|| StageLuts::characterize(&tc.lib));
-    let model = matches!(flow, Flow::Local | Flow::GlobalLocal)
-        .then(|| DeltaLatencyModel::train(&tc.lib, cfg.model_kind, &cfg.train));
-    try_optimize_with(tc, flow, cfg, luts.as_ref(), model.as_ref())
-}
-
-/// Runs `flow` with pre-characterized LUTs / a pre-trained model (both
-/// are per-technology artifacts the paper reuses across designs).
-///
-/// # Panics
-///
-/// Panics when the flow fails hard; use [`try_optimize_with`] for a
-/// typed error instead.
-pub fn optimize_with(
-    tc: &Testcase,
-    flow: Flow,
-    cfg: &FlowConfig,
-    luts: Option<&StageLuts>,
-    model: Option<&DeltaLatencyModel>,
-) -> OptReport {
-    match try_optimize_with(tc, flow, cfg, luts, model) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// The checked flow driver. Fails hard only on problems that make the
-/// run meaningless (untimeable input, failed input lint gate, missing
-/// per-technology artifact); everything downstream — LP failures, ECO
+/// Fails hard only on problems that make the run meaningless (untimeable
+/// input, failed input lint gate, missing per-technology artifact);
+/// everything downstream — LP failures, ECO
 /// panics, worker panics, phase errors, post-phase lint rejections,
 /// exhausted budgets — is absorbed, rolled back to the last good tree,
 /// and listed on [`OptReport::faults`].
@@ -338,7 +389,6 @@ pub fn try_optimize_with(
     // these init-time alphas so deltas telescope to the end-to-end
     // variation delta (the waterfall reconciliation gate)
     let ledger = obs.ledger();
-    let mut ledger_ckpt = variation_before;
     if ledger.is_enabled() {
         ledger.set_alphas(alphas.clone());
         obs.ledger_append(LedgerRecord::FlowInit {
@@ -356,211 +406,65 @@ pub fn try_optimize_with(
     let input_ckpt = Checkpoint::capture(&tc.tree, lib);
     drop(init_span);
 
-    let plan = cfg.fault_plan.as_deref();
-    let mut faults = FaultLog::new().with_origin(flow_start);
-    let mut tree = tc.tree.clone();
+    let mut runner = PhaseRunner {
+        cfg,
+        tc,
+        flow_start,
+        tree: tc.tree.clone(),
+        faults: FaultLog::new().with_origin(flow_start),
+        progress: Vec::new(),
+        ledger_ckpt: variation_before,
+    };
+    let guard = Some(local_skew_before.as_slice());
     let mut global_report = None;
     let mut local_report = None;
-    let mut progress: Vec<PhaseProgress> = Vec::new();
-
     if matches!(flow, Flow::Global | Flow::GlobalLocal) {
         let luts = luts.ok_or(FlowError::MissingArtifact(
             "characterized stage LUTs (global phase)",
         ))?;
-        let phase_start = clk_obs::wall_now();
-        let mut phase_span = obs.span_at(
-            Level::Info,
-            "phase.global",
-            vec![kv(
-                "budget_ms",
-                cfg.budget
-                    .global
-                    .wall_clock
-                    .map_or(-1.0, |d| d.as_secs_f64() * 1e3),
-            )],
-        );
-        if ledger.is_enabled() {
-            obs.ledger_append(LedgerRecord::PhaseStart {
-                phase: "global".to_string(),
-            });
-        }
-        let mut phase_committed = false;
-        let mut ctx = FaultCtx::new(
-            plan,
-            cfg.budget.global.deadline(phase_start, Some(&cfg.cancel)),
-        )
-        .with_obs(obs.clone())
-        .with_origin(flow_start)
-        .with_seq_base(faults.next_seq());
-        match global_optimize_checked(
-            &tree,
-            lib,
-            &tc.floorplan,
-            luts,
-            &cfg.global,
-            Some(&local_skew_before),
-            &mut ctx,
+        global_report = runner.run(
+            "global",
             &cfg.budget.global,
-        ) {
-            Ok((opt, rep)) => match check_lint_gate(
-                "global optimization",
-                cfg.lint_level,
-                &opt,
-                lib,
-                &tc.floorplan,
-            ) {
-                Ok(()) => {
-                    phase_span.record("lp_iterations", rep.lp_iterations);
-                    phase_span.record("arcs_changed", rep.arcs_changed);
-                    tree = opt;
-                    global_report = Some(rep);
-                    phase_committed = true;
-                }
-                Err(e) => ctx.record(
-                    "flow",
-                    FaultKind::LintGateFailed,
-                    RecoveryAction::Rollback,
-                    format!("{e}; keeping the pre-phase tree"),
-                ),
+            |tree, ctx| global_optimize(tree, lib, &tc.floorplan, luts, &cfg.global, guard, ctx),
+            |rep: &GlobalReport, span| {
+                span.record("lp_iterations", rep.lp_iterations);
+                span.record("arcs_changed", rep.arcs_changed);
             },
-            Err(e) => {
-                let kind = if e.is_interrupt() {
-                    ctx.interrupt_kind()
-                } else {
-                    FaultKind::PhaseError
-                };
-                ctx.record(
-                    "flow",
-                    kind,
-                    RecoveryAction::Rollback,
-                    format!("global phase failed ({e}); keeping the pre-phase tree"),
-                );
-            }
-        }
-        if let Some(p) = ctx.progress.take() {
-            phase_span.record("progress", p.to_string());
-            progress.push(p);
-        }
-        phase_span.record("faults", ctx.log.len());
-        faults.absorb(ctx.log);
-        drop(phase_span);
-        if ledger.is_enabled() {
-            if phase_committed {
-                ledger_ckpt = last_phase_checkpoint(&ledger, ledger_ckpt);
-            }
-            obs.ledger_append(LedgerRecord::PhaseEnd {
-                phase: "global".to_string(),
-                committed: phase_committed,
-                var: ledger_ckpt,
-            });
-        }
+        );
     }
     if matches!(flow, Flow::Local | Flow::GlobalLocal) {
         let model = model.ok_or(FlowError::MissingArtifact(
             "trained delta-latency predictor (local phase)",
         ))?;
-        let phase_start = clk_obs::wall_now();
-        let mut phase_span = obs.span_at(
-            Level::Info,
-            "phase.local",
-            vec![kv(
-                "budget_ms",
-                cfg.budget
-                    .local
-                    .wall_clock
-                    .map_or(-1.0, |d| d.as_secs_f64() * 1e3),
-            )],
-        );
-        if ledger.is_enabled() {
-            obs.ledger_append(LedgerRecord::PhaseStart {
-                phase: "local".to_string(),
-            });
-        }
-        let mut phase_committed = false;
-        let txn = TreeTxn::begin(&tree);
-        let mut ctx = FaultCtx::new(
-            plan,
-            cfg.budget.local.deadline(phase_start, Some(&cfg.cancel)),
-        )
-        .with_obs(obs.clone())
-        .with_origin(flow_start)
-        .with_seq_base(faults.next_seq());
-        match local_optimize_checked(
-            &mut tree,
-            lib,
-            &tc.floorplan,
-            Ranker::Ml(model),
-            &cfg.local,
-            Some(&local_skew_before),
-            &mut ctx,
+        local_report = runner.run(
+            "local",
             &cfg.budget.local,
-        ) {
-            Ok(rep) => {
-                if let Err(e) = check_lint_gate(
-                    "local optimization",
-                    cfg.lint_level,
-                    &tree,
+            |tree, ctx| {
+                let mut tree = tree.clone();
+                let ranker = Ranker::Ml(model);
+                let rep = local_optimize(
+                    &mut tree,
                     lib,
                     &tc.floorplan,
-                ) {
-                    ctx.record(
-                        "flow",
-                        FaultKind::LintGateFailed,
-                        RecoveryAction::Rollback,
-                        format!("{e}; rolled back to the pre-phase tree"),
-                    );
-                    txn.rollback(&mut tree);
-                } else {
-                    phase_span.record("accepted_moves", rep.iterations.len());
-                    phase_span.record("golden_evals", rep.golden_evals);
-                    local_report = Some(rep);
-                    txn.commit();
-                    phase_committed = true;
-                }
-            }
-            Err(e) => {
-                let kind = if e.is_interrupt() {
-                    // cut before the phase's own baseline STA finished:
-                    // there is nothing to keep, only to roll back
-                    if ctx.progress.is_none() {
-                        ctx.progress = Some(PhaseProgress::interrupted(
-                            "local",
-                            0,
-                            cfg.local.max_iterations,
-                            ctx.deadline.trigger(),
-                        ));
-                    }
-                    ctx.interrupt_kind()
-                } else {
-                    FaultKind::PhaseError
-                };
-                ctx.record(
-                    "flow",
-                    kind,
-                    RecoveryAction::Rollback,
-                    format!("local phase failed ({e}); rolled back to the pre-phase tree"),
-                );
-                txn.rollback(&mut tree);
-            }
-        }
-        if let Some(p) = ctx.progress.take() {
-            phase_span.record("progress", p.to_string());
-            progress.push(p);
-        }
-        phase_span.record("faults", ctx.log.len());
-        faults.absorb(ctx.log);
-        drop(phase_span);
-        if ledger.is_enabled() {
-            if phase_committed {
-                ledger_ckpt = last_phase_checkpoint(&ledger, ledger_ckpt);
-            }
-            obs.ledger_append(LedgerRecord::PhaseEnd {
-                phase: "local".to_string(),
-                committed: phase_committed,
-                var: ledger_ckpt,
-            });
-        }
+                    ranker,
+                    &cfg.local,
+                    guard,
+                    ctx,
+                )?;
+                Ok((tree, rep))
+            },
+            |rep: &LocalReport, span| {
+                span.record("accepted_moves", rep.iterations.len());
+                span.record("golden_evals", rep.golden_evals);
+            },
+        );
     }
+    let PhaseRunner {
+        tree,
+        mut faults,
+        progress,
+        ..
+    } = runner;
 
     let scoring_span = obs.span("phase.scoring");
     // final scoring; a tree that passed its gates but cannot be re-timed
@@ -666,10 +570,19 @@ pub(crate) mod tests {
         }
     }
 
+    /// Runs `flow` with the per-technology artifacts it needs built
+    /// fresh from the testcase's library.
+    pub(crate) fn run(tc: &Testcase, flow: Flow, cfg: &FlowConfig) -> OptReport {
+        let luts = (flow != Flow::Local).then(|| StageLuts::characterize(&tc.lib));
+        let model = (flow != Flow::Global)
+            .then(|| DeltaLatencyModel::train(&tc.lib, cfg.model_kind, &cfg.train));
+        try_optimize_with(tc, flow, cfg, luts.as_ref(), model.as_ref()).expect("flow completes")
+    }
+
     #[test]
     fn global_local_flow_improves_and_reports() {
         let tc = clk_cts::Testcase::generate(TestcaseKind::Cls1v1, 40, 31);
-        let report = optimize(&tc, Flow::GlobalLocal, &quick_cfg());
+        let report = run(&tc, Flow::GlobalLocal, &quick_cfg());
         report.tree.validate().unwrap();
         assert!(report.variation_ratio() <= 1.0);
         assert!(report.global_report.is_some());
@@ -697,7 +610,7 @@ pub(crate) mod tests {
             ledger: true,
             ..clk_obs::ObsConfig::default()
         });
-        let report = optimize(&tc, Flow::GlobalLocal, &cfg);
+        let report = run(&tc, Flow::GlobalLocal, &cfg);
         let ledger = cfg.obs.ledger();
         let records = ledger.records();
 
@@ -762,7 +675,8 @@ pub(crate) mod tests {
     fn pure_global_flow_needs_no_model() {
         let tc = clk_cts::Testcase::generate(TestcaseKind::Cls1v1, 24, 33);
         let luts = crate::lut::StageLuts::characterize(&tc.lib);
-        let report = optimize_with(&tc, Flow::Global, &quick_cfg(), Some(&luts), None);
+        let report = try_optimize_with(&tc, Flow::Global, &quick_cfg(), Some(&luts), None)
+            .expect("global flow completes");
         assert!(report.local_report.is_none());
         assert!(report.variation_ratio() <= 1.0 + 1e-9);
         assert!(report.variation_ratio() > 0.0);
@@ -771,7 +685,7 @@ pub(crate) mod tests {
     #[test]
     fn pure_local_flow_runs() {
         let tc = clk_cts::Testcase::generate(TestcaseKind::Cls1v1, 32, 32);
-        let report = optimize(&tc, Flow::Local, &quick_cfg());
+        let report = run(&tc, Flow::Local, &quick_cfg());
         assert!(report.global_report.is_none());
         assert!(report.variation_ratio() <= 1.0);
     }
@@ -829,7 +743,7 @@ pub(crate) mod tests {
         let plan = std::sync::Arc::new(FaultPlan::seeded(7));
         let mut cfg = quick_cfg();
         cfg.fault_plan = Some(plan.clone());
-        let report = try_optimize(&tc, Flow::GlobalLocal, &cfg).expect("flow absorbs the plan");
+        let report = run(&tc, Flow::GlobalLocal, &cfg);
         report.tree.validate().unwrap();
         assert!(report.variation_ratio() <= 1.0 + 1e-9);
         let injected = plan.injected();

@@ -23,9 +23,7 @@ use clk_sta::{
     CornerTiming, Timer,
 };
 
-use crate::fault::{
-    FaultCtx, FaultKind, FaultSite, FlowError, PhaseBudget, PhaseProgress, RecoveryAction,
-};
+use crate::fault::{FaultCtx, FaultKind, FaultSite, FlowError, PhaseProgress, RecoveryAction};
 use crate::lut::{fit_ratio_bounds, ratio_scatter, RatioBounds, StageLuts};
 
 /// Global-optimization knobs.
@@ -131,57 +129,161 @@ struct ArcVars {
 /// needed to read the Δ targets back out.
 type SolvedPoint = (Solution, BTreeMap<ArcId, ArcVars>);
 
-/// Runs the global optimization and returns the optimized tree plus a
-/// report. The input tree is not modified.
-///
-/// Runs up to [`GlobalConfig::rounds`] solve→ECO→re-time rounds and stops
-/// early when a round yields < 0.2% additional reduction.
-pub fn global_optimize(
-    tree: &ClockTree,
-    lib: &Library,
-    fp: &Floorplan,
-    luts: &StageLuts,
-    cfg: &GlobalConfig,
-) -> (ClockTree, GlobalReport) {
-    global_optimize_guarded(tree, lib, fp, luts, cfg, None)
+/// The LP inputs of one round, built once from the round's incoming tree
+/// and shared by every solve of the round: `global_round`'s λ sweep and
+/// `u_sweep`'s U grid.
+struct RoundLp<'t> {
+    /// The tree the round starts from.
+    tree: &'t ClockTree,
+    /// Golden timing per corner.
+    timings: Vec<CornerTiming>,
+    /// The tree's arcs.
+    arcs: ArcSet,
+    /// Timed delay per corner per arc, ps.
+    arc_d: Vec<Vec<f64>>,
+    /// Every sink pair of the tree.
+    all_pairs: Vec<SinkPair>,
+    /// Per-corner skews of `all_pairs`.
+    skews: Vec<Vec<f64>>,
+    /// Normalization factors over all pairs (an input parameter fixed
+    /// before optimization, per the paper).
+    alphas: Vec<f64>,
+    /// Variation sum over all pairs, ps.
+    variation_before: f64,
+    /// The `max_pairs` pairs of largest variation, which the LP optimizes.
+    sel_pairs: Vec<SinkPair>,
+    /// Variation sum over `sel_pairs`, ps.
+    sel_variation: f64,
+    /// Arc path per selected sink; a `BTreeMap` because its iteration
+    /// order becomes the LP's row-(9) order.
+    path_of: BTreeMap<NodeId, Vec<ArcId>>,
+    /// Arcs on some selected path, ascending.
+    involved: Vec<ArcId>,
+    /// Fig. 2 ratio corridor of corner k vs corner 0 (`None` at k = 0).
+    bounds: Vec<Option<RatioBounds>>,
 }
 
-/// [`global_optimize`] with an explicit local-skew guard baseline
-/// (ps per corner). `None` computes the baseline from the input tree;
-/// flows pass the *original* tree's skews so that multi-phase guards do
-/// not compound.
-///
-/// # Panics
-///
-/// Panics if the incoming tree cannot be timed; use
-/// [`global_optimize_checked`] for a typed error instead.
-pub fn global_optimize_guarded(
-    tree: &ClockTree,
-    lib: &Library,
-    fp: &Floorplan,
-    luts: &StageLuts,
-    cfg: &GlobalConfig,
-    guard_baseline: Option<&[f64]>,
-) -> (ClockTree, GlobalReport) {
-    let mut ctx = FaultCtx::passive();
-    match global_optimize_checked(
-        tree,
-        lib,
-        fp,
-        luts,
-        cfg,
-        guard_baseline,
-        &mut ctx,
-        &PhaseBudget::unlimited(),
-    ) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
+impl<'t> RoundLp<'t> {
+    /// Times `tree` and derives the round's LP inputs. A non-finite arc
+    /// delay triggers one recomputation; arcs still non-finite after it
+    /// are frozen by [`build_problem`].
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::Timing`] when `tree` cannot be timed or the deadline
+    /// cuts the STA.
+    fn build(
+        tree: &'t ClockTree,
+        lib: &Library,
+        luts: &StageLuts,
+        cfg: &GlobalConfig,
+        ctx: &mut FaultCtx<'_>,
+    ) -> Result<Self, FlowError> {
+        // the round runs single-threaded, so its golden timer can observe
+        // the phase deadline directly (workers inside `execute_eco`
+        // re-time deterministically without one)
+        let timings = Timer::golden()
+            .with_deadline(ctx.deadline.clone())
+            .try_analyze_all(tree, lib)?;
+        let arcs = ArcSet::extract(tree);
+        let delays = || -> Vec<Vec<f64>> {
+            timings
+                .iter()
+                .map(|t| arc_delays_ps(tree, &arcs, t))
+                .collect()
+        };
+        let mut arc_d = delays();
+        if ctx.fire(FaultSite::NanArcDelay) {
+            if let Some(v) = arc_d.first_mut().and_then(|row| row.first_mut()) {
+                *v = f64::NAN;
+            }
+        }
+        if arc_d.iter().flatten().any(|v| !v.is_finite()) {
+            ctx.record(
+                "global",
+                FaultKind::NanArcDelay,
+                RecoveryAction::Retry,
+                "non-finite arc delay detected; recomputing from the timed tree",
+            );
+            arc_d = delays();
+        }
+
+        let all_pairs = tree.sink_pairs().to_vec();
+        let skews: Vec<Vec<f64>> = timings
+            .iter()
+            .map(|t| try_pair_skews(t, &all_pairs))
+            .collect::<Result<_, _>>()?;
+        let alphas = alpha_factors(&skews);
+        let before = variation_report(&skews, &alphas, None);
+
+        // top-variation pair selection
+        let mut order: Vec<usize> = (0..all_pairs.len()).collect();
+        order.sort_by(|&a, &b| before.per_pair[b].total_cmp(&before.per_pair[a]));
+        order.truncate(cfg.max_pairs);
+        let sel_pairs: Vec<SinkPair> = order.iter().map(|&i| all_pairs[i]).collect();
+        let sel_variation = order.iter().map(|&i| before.per_pair[i]).sum();
+
+        let mut path_of: BTreeMap<NodeId, Vec<ArcId>> = BTreeMap::new();
+        let mut involved_set: HashSet<ArcId> = HashSet::new();
+        for p in &sel_pairs {
+            for s in [p.a, p.b] {
+                let path = path_of
+                    .entry(s)
+                    .or_insert_with(|| arcs.path_arcs(tree, s))
+                    .clone();
+                involved_set.extend(path);
+            }
+        }
+        let mut involved: Vec<ArcId> = involved_set.into_iter().collect();
+        involved.sort_unstable();
+
+        let bounds: Vec<Option<RatioBounds>> = (0..lib.corner_count())
+            .map(|k| {
+                (k != 0).then(|| {
+                    fit_ratio_bounds(
+                        &ratio_scatter(luts, CornerId(k), CornerId(0)),
+                        cfg.ratio_margin,
+                    )
+                })
+            })
+            .collect();
+
+        Ok(RoundLp {
+            tree,
+            timings,
+            arcs,
+            arc_d,
+            all_pairs,
+            skews,
+            alphas,
+            variation_before: before.sum,
+            sel_pairs,
+            sel_variation,
+            path_of,
+            involved,
+            bounds,
+        })
     }
 }
 
-/// The checked core of the global phase: runs under a fault context
-/// (injection plan, fault log, deadline) and a phase budget, returning
-/// typed errors instead of panicking.
+/// `Σ|Δ|` of a solved point, ps.
+fn total_delta(sol: &Solution, vars: &BTreeMap<ArcId, ArcVars>) -> f64 {
+    vars.values()
+        .flat_map(|av| av.delta.iter())
+        .map(|&(p, n)| sol.value(p).unwrap_or(f64::NAN) + sol.value(n).unwrap_or(f64::NAN))
+        .sum()
+}
+
+/// Runs the global phase on a copy of `tree` (the input is not modified)
+/// and returns the optimized tree plus a report: up to
+/// [`GlobalConfig::rounds`] solve→ECO→re-time rounds, stopping early when
+/// a round yields < 0.2% additional reduction.
+///
+/// `guard_baseline` is the local-skew guard baseline, ps per corner;
+/// `None` computes it from the input tree. Flows pass the *original*
+/// tree's skews so that multi-phase guards do not compound. `ctx` carries
+/// the fault-injection plan, the fault log and the phase deadline
+/// ([`FaultCtx::passive`] for none).
 ///
 /// Robustness properties:
 ///
@@ -193,15 +295,15 @@ pub fn global_optimize_guarded(
 ///   flow;
 /// * non-finite arc delays are detected before the LP sees them
 ///   (recomputed once, then frozen out of the formulation);
-/// * the first round always runs; the wall-clock budget short-circuits
-///   later rounds with the best-so-far tree.
+/// * the first round always runs; the deadline short-circuits later
+///   rounds with the best-so-far tree.
 ///
 /// # Errors
 ///
 /// [`FlowError::Timing`] when the *incoming* tree cannot be timed —
-/// everything downstream of that baseline is absorbed and degraded.
-#[allow(clippy::too_many_arguments)]
-pub fn global_optimize_checked(
+/// everything downstream of that baseline is absorbed and degraded —
+/// and [`FlowError::Interrupted`] when the deadline cuts round 0.
+pub fn global_optimize(
     tree: &ClockTree,
     lib: &Library,
     fp: &Floorplan,
@@ -209,20 +311,11 @@ pub fn global_optimize_checked(
     cfg: &GlobalConfig,
     guard_baseline: Option<&[f64]>,
     ctx: &mut FaultCtx<'_>,
-    budget: &PhaseBudget,
 ) -> Result<(ClockTree, GlobalReport), FlowError> {
     let mut current = tree.clone();
     let mut total: Option<GlobalReport> = None;
     let obs = ctx.obs.clone();
-    let rounds = budget.clamp_iterations(cfg.rounds.max(1)).max(1);
-    if rounds < cfg.rounds.max(1) {
-        ctx.record(
-            "global",
-            FaultKind::IterationBudget,
-            RecoveryAction::Degrade,
-            format!("rounds capped {} -> {rounds}", cfg.rounds.max(1)),
-        );
-    }
+    let rounds = cfg.rounds.max(1);
     let mut rounds_done = 0usize;
     let mut cut: Option<Option<&'static str>> = None;
     for round in 0..rounds {
@@ -330,90 +423,14 @@ fn global_round(
     ctx: &mut FaultCtx<'_>,
     round: usize,
 ) -> Result<(ClockTree, GlobalReport), FlowError> {
-    // the round runs single-threaded, so its golden timer can observe
-    // the phase deadline directly (workers inside `execute_eco` re-time
-    // deterministically without one)
-    let timer = Timer::golden().with_deadline(ctx.deadline.clone());
-    let timings: Vec<CornerTiming> = timer.try_analyze_all(tree, lib)?;
-    let arcs = ArcSet::extract(tree);
-    let mut arc_d: Vec<Vec<f64>> = timings
-        .iter()
-        .map(|t| arc_delays_ps(tree, &arcs, t))
-        .collect();
-    if ctx.fire(FaultSite::NanArcDelay) {
-        if let Some(v) = arc_d.first_mut().and_then(|row| row.first_mut()) {
-            *v = f64::NAN;
-        }
-    }
-    if arc_d.iter().flatten().any(|v| !v.is_finite()) {
-        ctx.record(
-            "global",
-            FaultKind::NanArcDelay,
-            RecoveryAction::Retry,
-            "non-finite arc delay detected; recomputing from the timed tree",
-        );
-        arc_d = timings
-            .iter()
-            .map(|t| arc_delays_ps(tree, &arcs, t))
-            .collect();
-        // arcs that are *still* non-finite are frozen by build_problem
-    }
-    let n_corners = lib.corner_count();
-
-    // skews + alphas over *all* pairs (alphas are an input parameter fixed
-    // before optimization, per the paper)
-    let all_pairs = tree.sink_pairs().to_vec();
-    let per_corner_skews: Vec<Vec<f64>> = timings
-        .iter()
-        .map(|t| try_pair_skews(t, &all_pairs))
-        .collect::<Result<_, _>>()?;
-    let alphas = alpha_factors(&per_corner_skews);
-    let before_report = variation_report(&per_corner_skews, &alphas, None);
-    let variation_before = before_report.sum;
-
-    // top-variation pair selection
-    let mut order: Vec<usize> = (0..all_pairs.len()).collect();
-    order.sort_by(|&a, &b| before_report.per_pair[b].total_cmp(&before_report.per_pair[a]));
-    order.truncate(cfg.max_pairs);
-    let sel_pairs: Vec<SinkPair> = order.iter().map(|&i| all_pairs[i]).collect();
-
-    // per-sink arc paths and the involved-arc set; path_of is a BTreeMap
-    // because its iteration order becomes the LP's row-(9) order
-    let mut path_of: BTreeMap<NodeId, Vec<ArcId>> = BTreeMap::new();
-    let mut involved_set: HashSet<ArcId> = HashSet::new();
-    for p in &sel_pairs {
-        for s in [p.a, p.b] {
-            let path = path_of
-                .entry(s)
-                .or_insert_with(|| arcs.path_arcs(tree, s))
-                .clone();
-            involved_set.extend(path);
-        }
-    }
-    let involved: Vec<ArcId> = {
-        let mut v: Vec<ArcId> = involved_set.into_iter().collect();
-        v.sort_unstable();
-        v
-    };
-
-    // ratio corridors (k vs corner 0) once per run
-    let bounds: Vec<Option<RatioBounds>> = (0..n_corners)
-        .map(|k| {
-            (k != 0).then(|| {
-                fit_ratio_bounds(
-                    &ratio_scatter(luts, CornerId(k), CornerId(0)),
-                    cfg.ratio_margin,
-                )
-            })
-        })
-        .collect();
-
+    let lp = RoundLp::build(tree, lib, luts, cfg, ctx)?;
+    let variation_before = lp.variation_before;
     let mut best: Option<(ClockTree, f64, f64, usize, Option<f64>)> = None;
     let mut lp_iterations = 0usize;
     let mut sweep = Vec::with_capacity(cfg.lambdas.len());
     let before_local: Vec<f64> = match guard_baseline {
         Some(b) => b.to_vec(),
-        None => per_corner_skews.iter().map(|s| local_skew_ps(s)).collect(),
+        None => lp.skews.iter().map(|s| local_skew_ps(s)).collect(),
     };
 
     let obs = ctx.obs.clone();
@@ -426,8 +443,8 @@ fn global_round(
     let round_u = round as u64;
     let star: Option<&[f64]> = ledger
         .is_enabled()
-        .then(|| star_owned.as_deref().unwrap_or(&alphas));
-    let var_star_before = star.map(|sa| variation_report(&per_corner_skews, sa, None).sum);
+        .then(|| star_owned.as_deref().unwrap_or(&lp.alphas));
+    let var_star_before = star.map(|sa| variation_report(&lp.skews, sa, None).sum);
     if let Some(vs) = var_star_before {
         obs.ledger_append(LedgerRecord::RoundStart {
             round: round_u,
@@ -450,33 +467,19 @@ fn global_round(
             variation_after: None,
             accepted: false,
         };
-        let solved = match solve_with_ladder(
-            tree,
-            lib,
-            luts,
-            &arcs,
-            &arc_d,
-            &timings,
-            &sel_pairs,
-            &path_of,
-            &involved,
-            &alphas,
-            &bounds,
-            LpObjective::Scalarized(lambda),
-            cfg,
-            ctx,
-        ) {
-            Ok(s) => s,
-            // an interrupted solve carries no certificate: drop this λ
-            // point, keep the sweep's best-so-far, stop sweeping
-            Err(e) if e.is_interrupt() => {
-                lambda_span.record("outcome", "interrupted");
-                ledger_lambda(&obs, round_u, &point, "interrupted", None);
-                sweep.push(point);
-                break;
-            }
-            Err(e) => return Err(e),
-        };
+        let solved =
+            match solve_with_ladder(&lp, lib, luts, LpObjective::Scalarized(lambda), cfg, ctx) {
+                Ok(s) => s,
+                // an interrupted solve carries no certificate: drop this λ
+                // point, keep the sweep's best-so-far, stop sweeping
+                Err(e) if e.is_interrupt() => {
+                    lambda_span.record("outcome", "interrupted");
+                    ledger_lambda(&obs, round_u, &point, "interrupted", None);
+                    sweep.push(point);
+                    break;
+                }
+                Err(e) => return Err(e),
+            };
         let Some(((solution, vars), rung)) = solved else {
             lambda_span.record("outcome", "lp_skipped");
             ledger_lambda(&obs, round_u, &point, "skipped", None);
@@ -487,13 +490,7 @@ fn global_round(
         lambda_span.record("lp_iterations", solution.iterations as u64);
         lambda_span.record("lp_objective", solution.objective);
         point.lp_objective = solution.objective;
-        point.lp_total_delta = vars
-            .values()
-            .flat_map(|av| av.delta.iter())
-            .map(|&(p, n)| {
-                solution.value(p).unwrap_or(f64::NAN) + solution.value(n).unwrap_or(f64::NAN)
-            })
-            .sum();
+        point.lp_total_delta = total_delta(&solution, &vars);
 
         // realize with the ECO engine on a clone, arc by arc with golden
         // accept/rollback (see `execute_eco`); the whole trial sweep is
@@ -507,16 +504,10 @@ fn global_round(
                 lib,
                 fp,
                 luts,
-                &arcs,
-                &arc_d,
-                &timings,
-                &involved,
+                &lp,
                 &vars,
                 &solution,
-                &all_pairs,
-                &alphas,
                 &before_local,
-                variation_before,
                 cfg,
                 &obs,
                 &deadline,
@@ -770,12 +761,37 @@ pub(crate) fn verify_certificate(
     })
 }
 
+/// The rungs of the LP retry/degradation ladder, in order: the relaxation,
+/// its name in the ledger and `global.ladder.*` counters, and how a
+/// failure on it is recorded (action and message suffix).
+const LADDER: [(Relaxation, &str, RecoveryAction, &str); 3] = [
+    (
+        Relaxation::NONE,
+        "none",
+        RecoveryAction::Retry,
+        "; retrying with relaxed guardbands",
+    ),
+    (
+        Relaxation::RELAXED,
+        "relaxed",
+        RecoveryAction::Degrade,
+        " under relaxed guardbands; dropping ratio-corridor rows",
+    ),
+    (
+        Relaxation::DEGRADED,
+        "degraded",
+        RecoveryAction::Skip,
+        " even without ratio rows; skipping this sweep point",
+    ),
+];
+
 /// The LP retry/degradation ladder: as-built → relaxed guardbands →
-/// corridor-free formulation → skip the sweep point. Every rung is
-/// recorded in the fault log; builder rejections (malformed models)
-/// skip directly — re-solving an ill-posed model cannot help. A solve
-/// whose certificate fails exact re-verification is treated like a
-/// failed solve: the answer is discarded and the next rung runs.
+/// corridor-free formulation → skip the sweep point, each rung one
+/// [`solve_point`]. Every failed rung is recorded in the fault log; a
+/// builder rejection (malformed model) on the first rung skips directly —
+/// re-solving an ill-posed model cannot help. A solve whose certificate
+/// fails exact re-verification is treated like a failed solve: the answer
+/// is discarded and the next rung runs.
 ///
 /// # Errors
 ///
@@ -784,149 +800,72 @@ pub(crate) fn verify_certificate(
 /// cancelled solve must not be retried on a lower rung — the ladder is
 /// for *broken* solves, not abandoned ones. Every genuine failure
 /// degrades to `Ok(None)` (skip the sweep point).
-#[allow(clippy::too_many_arguments)]
 fn solve_with_ladder(
-    tree: &ClockTree,
+    lp: &RoundLp<'_>,
     lib: &Library,
     luts: &StageLuts,
-    arcs: &ArcSet,
-    arc_d: &[Vec<f64>],
-    timings: &[CornerTiming],
-    sel_pairs: &[SinkPair],
-    path_of: &BTreeMap<NodeId, Vec<ArcId>>,
-    involved: &[ArcId],
-    alphas: &[f64],
-    bounds: &[Option<RatioBounds>],
     objective: LpObjective,
     cfg: &GlobalConfig,
     ctx: &mut FaultCtx<'_>,
 ) -> Result<Option<(SolvedPoint, &'static str)>, FlowError> {
     let obs = ctx.obs.clone();
-    let attempt = |relax: &Relaxation,
-                   rung: &str,
-                   ctx: &mut FaultCtx<'_>|
-     -> Result<SolvedPoint, LadderFault> {
-        let (p, vars) = build_problem(
-            tree, lib, luts, arcs, arc_d, timings, sel_pairs, path_of, involved, alphas, bounds,
-            objective, cfg, relax, ctx,
-        )
-        .map_err(LadderFault::Lp)?;
-        ctx.obs.count("global.lp_rows_built", p.num_rows() as u64);
-        let sol =
-            clk_lp::solve_with_deadline(&p, &ctx.obs, &ctx.deadline).map_err(LadderFault::Lp)?;
-        let site = format!("{objective:?} rung={rung}");
-        verify_certificate(&p, &sol, &ctx.obs, &site).map_err(LadderFault::Cert)?;
-        Ok((sol, vars))
-    };
     let rung_taken = |rung: &str| {
         obs.event(Level::Debug, "global.ladder", vec![kv("rung", rung)]);
         obs.count(&format!("global.ladder.{rung}"), 1);
     };
-    match attempt(&Relaxation::NONE, "none", ctx) {
-        Ok(r) => {
-            rung_taken("none");
-            return Ok(Some((r, "none")));
-        }
-        Err(LadderFault::Lp(LpError::Interrupted)) => {
-            rung_taken("interrupted");
-            return Err(FlowError::Lp(LpError::Interrupted));
-        }
-        Err(LadderFault::Lp(e @ (LpError::BadProblem(_) | LpError::UnknownTerm { .. }))) => {
-            ctx.record(
-                "global",
-                FaultKind::LpFailure,
-                RecoveryAction::Skip,
-                format!("LP build rejected ({e}); skipping this sweep point"),
-            );
-            rung_taken("skipped");
-            return Ok(None);
-        }
-        Err(e) => ctx.record(
-            "global",
-            e.kind(),
-            RecoveryAction::Retry,
-            format!("{e}; retrying with relaxed guardbands"),
-        ),
-    }
-    match attempt(&Relaxation::RELAXED, "relaxed", ctx) {
-        Ok(r) => {
-            rung_taken("relaxed");
-            return Ok(Some((r, "relaxed")));
-        }
-        Err(LadderFault::Lp(LpError::Interrupted)) => {
-            rung_taken("interrupted");
-            return Err(FlowError::Lp(LpError::Interrupted));
-        }
-        Err(e) => ctx.record(
-            "global",
-            e.kind(),
-            RecoveryAction::Degrade,
-            format!("{e} under relaxed guardbands; dropping ratio-corridor rows"),
-        ),
-    }
-    match attempt(&Relaxation::DEGRADED, "degraded", ctx) {
-        Ok(r) => {
-            rung_taken("degraded");
-            Ok(Some((r, "degraded")))
-        }
-        Err(LadderFault::Lp(LpError::Interrupted)) => {
-            rung_taken("interrupted");
-            Err(FlowError::Lp(LpError::Interrupted))
-        }
-        Err(e) => {
-            ctx.record(
-                "global",
-                e.kind(),
-                RecoveryAction::Skip,
-                format!("{e} even without ratio rows; skipping this sweep point"),
-            );
-            rung_taken("skipped");
-            Ok(None)
+    for (i, (relax, rung, action, next)) in LADDER.iter().enumerate() {
+        match solve_point(lp, lib, luts, objective, cfg, relax, rung, ctx) {
+            Ok(r) => {
+                rung_taken(rung);
+                return Ok(Some((r, rung)));
+            }
+            Err(LadderFault::Lp(LpError::Interrupted)) => {
+                rung_taken("interrupted");
+                return Err(FlowError::Lp(LpError::Interrupted));
+            }
+            Err(LadderFault::Lp(e @ (LpError::BadProblem(_) | LpError::UnknownTerm { .. })))
+                if i == 0 =>
+            {
+                ctx.record(
+                    "global",
+                    FaultKind::LpFailure,
+                    RecoveryAction::Skip,
+                    format!("LP build rejected ({e}); skipping this sweep point"),
+                );
+                break;
+            }
+            Err(e) => ctx.record("global", e.kind(), *action, format!("{e}{next}")),
         }
     }
+    rung_taken("skipped");
+    Ok(None)
 }
 
-/// Builds the LP of Eqs. (4)–(11) and solves it once, with no ladder —
-/// the analysis-path entry (`u_sweep`) that predates the fault runtime.
+/// One LP solve of the round: build under `relax` → solve under the
+/// phase deadline → verify the certificate in exact arithmetic.
+///
+/// # Errors
+///
+/// [`LadderFault::Lp`] when the build or the solve fails,
+/// [`LadderFault::Cert`] when the certificate does not verify.
 #[allow(clippy::too_many_arguments)]
-fn build_and_solve(
-    tree: &ClockTree,
+fn solve_point(
+    lp: &RoundLp<'_>,
     lib: &Library,
     luts: &StageLuts,
-    arcs: &ArcSet,
-    arc_d: &[Vec<f64>],
-    timings: &[CornerTiming],
-    sel_pairs: &[SinkPair],
-    path_of: &BTreeMap<NodeId, Vec<ArcId>>,
-    involved: &[ArcId],
-    alphas: &[f64],
-    bounds: &[Option<RatioBounds>],
     objective: LpObjective,
     cfg: &GlobalConfig,
-) -> Option<SolvedPoint> {
-    let mut ctx = FaultCtx::passive();
-    let (p, vars) = build_problem(
-        tree,
-        lib,
-        luts,
-        arcs,
-        arc_d,
-        timings,
-        sel_pairs,
-        path_of,
-        involved,
-        alphas,
-        bounds,
-        objective,
-        cfg,
-        &Relaxation::NONE,
-        &mut ctx,
-    )
-    .ok()?;
-    let sol = clk_lp::solve(&p).ok()?;
-    let site = format!("{objective:?} u_sweep");
-    verify_certificate(&p, &sol, &ctx.obs, &site).ok()?;
-    Some((sol, vars))
+    relax: &Relaxation,
+    rung: &str,
+    ctx: &mut FaultCtx<'_>,
+) -> Result<SolvedPoint, LadderFault> {
+    let (p, vars) =
+        build_problem(lp, lib, luts, objective, cfg, relax, ctx).map_err(LadderFault::Lp)?;
+    ctx.obs.count("global.lp_rows_built", p.num_rows() as u64);
+    let sol = clk_lp::solve_with_deadline(&p, &ctx.obs, &ctx.deadline).map_err(LadderFault::Lp)?;
+    let site = format!("{objective:?} rung={rung}");
+    verify_certificate(&p, &sol, &ctx.obs, &site).map_err(LadderFault::Cert)?;
+    Ok((sol, vars))
 }
 
 /// Builds the LP of Eqs. (4)–(11) under a [`Relaxation`].
@@ -941,24 +880,27 @@ fn build_and_solve(
 ///
 /// Propagates the builder's [`LpError`] (non-finite bound/coefficient,
 /// unknown variable) instead of panicking.
-#[allow(clippy::too_many_arguments)]
 fn build_problem(
-    tree: &ClockTree,
+    lp: &RoundLp<'_>,
     lib: &Library,
     luts: &StageLuts,
-    arcs: &ArcSet,
-    arc_d: &[Vec<f64>],
-    timings: &[CornerTiming],
-    sel_pairs: &[SinkPair],
-    path_of: &BTreeMap<NodeId, Vec<ArcId>>,
-    involved: &[ArcId],
-    alphas: &[f64],
-    bounds: &[Option<RatioBounds>],
     objective: LpObjective,
     cfg: &GlobalConfig,
     relax: &Relaxation,
     ctx: &mut FaultCtx<'_>,
 ) -> Result<(Problem, BTreeMap<ArcId, ArcVars>), LpError> {
+    let RoundLp {
+        tree,
+        timings,
+        arcs,
+        arc_d,
+        alphas,
+        sel_pairs,
+        path_of,
+        involved,
+        bounds,
+        ..
+    } = lp;
     let n_corners = arc_d.len();
     let (delta_cost, v_cost) = match objective {
         LpObjective::Scalarized(lambda) => (lambda, 1.0),
@@ -1173,8 +1115,6 @@ pub struct USweepPoint {
     pub u: f64,
     /// The minimum total delay change `Σ|Δ|` the LP needs to satisfy it.
     pub total_delta: f64,
-    /// `Σ V` actually attained (≤ `u`).
-    pub sum_v: f64,
     /// Whether the LP was feasible at this `U`.
     pub feasible: bool,
 }
@@ -1185,120 +1125,58 @@ pub struct USweepPoint {
 /// sweep this upper bound to search for the achievable solution with
 /// minimum sum of skew variations"). Returns one point per grid value.
 /// This is the analysis view; the ECO flow uses the Lagrangian-equivalent
-/// scalarization, which traces the same Pareto frontier.
+/// scalarization, which traces the same Pareto frontier. Every point is
+/// solved as-built (no ladder) and certified.
+///
+/// # Errors
+///
+/// [`FlowError::Tree`] when `tree` is structurally invalid and
+/// [`FlowError::Timing`] when it cannot be timed; a point whose LP fails
+/// is reported infeasible instead.
 pub fn u_sweep(
     tree: &ClockTree,
     lib: &Library,
     luts: &StageLuts,
     cfg: &GlobalConfig,
     n_points: usize,
-) -> Vec<USweepPoint> {
-    let timer = Timer::golden();
-    let timings: Vec<CornerTiming> = timer.analyze_all(tree, lib);
-    let arcs = ArcSet::extract(tree);
-    let arc_d: Vec<Vec<f64>> = timings
-        .iter()
-        .map(|t| arc_delays_ps(tree, &arcs, t))
-        .collect();
-    let n_corners = lib.corner_count();
-    let all_pairs = tree.sink_pairs().to_vec();
-    let per_corner_skews: Vec<Vec<f64>> =
-        timings.iter().map(|t| pair_skews(t, &all_pairs)).collect();
-    let alphas = alpha_factors(&per_corner_skews);
-    let before_report = variation_report(&per_corner_skews, &alphas, None);
-    let mut order: Vec<usize> = (0..all_pairs.len()).collect();
-    order.sort_by(|&a, &b| before_report.per_pair[b].total_cmp(&before_report.per_pair[a]));
-    order.truncate(cfg.max_pairs);
-    let sel_pairs: Vec<SinkPair> = order.iter().map(|&i| all_pairs[i]).collect();
-    let sel_sum: f64 = order.iter().map(|&i| before_report.per_pair[i]).sum();
-
-    let mut path_of: BTreeMap<NodeId, Vec<ArcId>> = BTreeMap::new();
-    let mut involved_set: HashSet<ArcId> = HashSet::new();
-    for p in &sel_pairs {
-        for s in [p.a, p.b] {
-            let path = path_of
-                .entry(s)
-                .or_insert_with(|| arcs.path_arcs(tree, s))
-                .clone();
-            involved_set.extend(path);
-        }
-    }
-    let mut involved: Vec<ArcId> = involved_set.into_iter().collect();
-    involved.sort_unstable();
-    let bounds: Vec<Option<RatioBounds>> = (0..n_corners)
-        .map(|k| {
-            (k != 0).then(|| {
-                fit_ratio_bounds(
-                    &ratio_scatter(luts, CornerId(k), CornerId(0)),
-                    cfg.ratio_margin,
-                )
-            })
-        })
-        .collect();
+) -> Result<Vec<USweepPoint>, FlowError> {
+    tree.validate()?;
+    let mut ctx = FaultCtx::passive();
+    let lp = RoundLp::build(tree, lib, luts, cfg, &mut ctx)?;
+    let mut solve = |objective| {
+        solve_point(
+            &lp,
+            lib,
+            luts,
+            objective,
+            cfg,
+            &Relaxation::NONE,
+            "none",
+            &mut ctx,
+        )
+        .ok()
+    };
 
     // lower end of the sweep: the unconstrained ΣV optimum
-    let floor = build_and_solve(
-        tree,
-        lib,
-        luts,
-        &arcs,
-        &arc_d,
-        &timings,
-        &sel_pairs,
-        &path_of,
-        &involved,
-        &alphas,
-        &bounds,
-        LpObjective::Scalarized(1e-6),
-        cfg,
-    )
-    .map_or(0.0, |(sol, _)| sol.objective.max(0.0));
+    let floor = solve(LpObjective::Scalarized(1e-6)).map_or(0.0, |(sol, _)| sol.objective.max(0.0));
 
+    let sel_sum = lp.sel_variation;
     let mut out = Vec::with_capacity(n_points);
     for i in 0..n_points.max(2) {
         // geometric interpolation between sel_sum and max(floor, 1e-3)
         let lo = floor.max(1.0e-3);
         let t = i as f64 / (n_points.max(2) - 1) as f64;
         let u = sel_sum.max(lo) * (lo / sel_sum.max(lo)).powf(t);
-        match build_and_solve(
-            tree,
-            lib,
-            luts,
-            &arcs,
-            &arc_d,
-            &timings,
-            &sel_pairs,
-            &path_of,
-            &involved,
-            &alphas,
-            &bounds,
-            LpObjective::UBound(u),
-            cfg,
-        ) {
-            Some((sol, vars)) => {
-                let total_delta: f64 = vars
-                    .values()
-                    .flat_map(|av| av.delta.iter())
-                    .map(|&(p, n)| {
-                        sol.value(p).unwrap_or(f64::NAN) + sol.value(n).unwrap_or(f64::NAN)
-                    })
-                    .sum();
-                out.push(USweepPoint {
-                    u,
-                    total_delta,
-                    sum_v: f64::NAN, // ΣV is slack-bounded; report the bound
-                    feasible: true,
-                });
-            }
-            None => out.push(USweepPoint {
-                u,
-                total_delta: f64::NAN,
-                sum_v: f64::NAN,
-                feasible: false,
-            }),
-        }
+        let solved = solve(LpObjective::UBound(u));
+        out.push(USweepPoint {
+            u,
+            total_delta: solved
+                .as_ref()
+                .map_or(f64::NAN, |(sol, vars)| total_delta(sol, vars)),
+            feasible: solved.is_some(),
+        });
     }
-    out
+    Ok(out)
 }
 
 fn end_load_ff(tree: &ClockTree, lib: &Library, arc: &Arc) -> f64 {
@@ -1324,16 +1202,10 @@ fn execute_eco(
     lib: &Library,
     fp: &Floorplan,
     luts: &StageLuts,
-    arcs: &ArcSet,
-    arc_d: &[Vec<f64>],
-    timings: &[CornerTiming],
-    involved: &[ArcId],
+    lp: &RoundLp<'_>,
     vars: &BTreeMap<ArcId, ArcVars>,
     sol: &Solution,
-    all_pairs: &[SinkPair],
-    alphas: &[f64],
     guard_local: &[f64],
-    variation_before: f64,
     cfg: &GlobalConfig,
     obs: &Obs,
     deadline: &Deadline,
@@ -1342,6 +1214,16 @@ fn execute_eco(
     star: Option<&[f64]>,
     star_before: Option<f64>,
 ) -> (usize, f64, Option<f64>) {
+    let RoundLp {
+        timings,
+        arcs,
+        arc_d,
+        all_pairs,
+        alphas,
+        involved,
+        variation_before,
+        ..
+    } = lp;
     let n_corners = arc_d.len();
     let timer = Timer::golden();
     // collect candidate arcs with their requested deltas
@@ -1367,7 +1249,7 @@ fn execute_eco(
         vec![kv("arcs_todo", todo.len() as u64)],
     );
     let mut changed = 0usize;
-    let mut current = variation_before;
+    let mut current = *variation_before;
     let mut current_star = star_before;
     // the paper's guarantee: no new max-cap / max-transition violations
     let mut drc_budget: usize = timer
@@ -1776,7 +1658,16 @@ mod tests {
     fn global_reduces_variation_on_cls1() {
         let tc = Testcase::generate(TestcaseKind::Cls1v1, 48, 5);
         let luts = StageLuts::characterize(&tc.lib);
-        let (opt, report) = global_optimize(&tc.tree, &tc.lib, &tc.floorplan, &luts, &quick_cfg());
+        let (opt, report) = global_optimize(
+            &tc.tree,
+            &tc.lib,
+            &tc.floorplan,
+            &luts,
+            &quick_cfg(),
+            None,
+            &mut FaultCtx::passive(),
+        )
+        .expect("CTS trees time");
         opt.validate().unwrap();
         assert!(
             report.variation_after <= report.variation_before,
@@ -1798,7 +1689,7 @@ mod tests {
         plan.arm(FaultSite::CorruptLutRow, 0, 1);
         plan.arm(FaultSite::InfeasibleLp, 0, 1);
         let mut ctx = FaultCtx::new(Some(&plan), Deadline::none());
-        let (opt, report) = global_optimize_checked(
+        let (opt, report) = global_optimize(
             &tc.tree,
             &tc.lib,
             &tc.floorplan,
@@ -1806,7 +1697,6 @@ mod tests {
             &quick_cfg(),
             None,
             &mut ctx,
-            &PhaseBudget::unlimited(),
         )
         .expect("flow survives injected faults");
         opt.validate().unwrap();
@@ -1829,7 +1719,7 @@ mod tests {
             max_pairs: 25,
             ..GlobalConfig::default()
         };
-        let curve = u_sweep(&tc.tree, &tc.lib, &luts, &cfg, 5);
+        let curve = u_sweep(&tc.tree, &tc.lib, &luts, &cfg, 5).expect("CTS trees time");
         assert_eq!(curve.len(), 5);
         // U = current sum must be feasible at (near) zero delta spend
         let first = &curve[0];
@@ -1844,6 +1734,20 @@ mod tests {
             );
             last = p.total_delta;
         }
+        // bit-exact pin of every point (u, Σ|Δ|, feasible): any change to
+        // the LP inputs, the formulation or the solve order shows here
+        let pinned: [(u64, u64, bool); 5] = [
+            (0x405a_7062_c901_5fb4, 0x3cf3_538f_3a50_52e0, true),
+            (0x4017_7537_eb6e_082e, 0x405e_0c77_7dcf_7122, true),
+            (0x3fd4_d01a_0a81_226b, 0x4061_4a34_118e_5b0c, true),
+            (0x3f92_7755_46f1_34a3, 0x4061_6c17_f99d_c7f8, true),
+            (0x3f50_624d_d2f1_a9fc, 0x4061_6df9_1421_3c34, true),
+        ];
+        let got: Vec<(u64, u64, bool)> = curve
+            .iter()
+            .map(|p| (p.u.to_bits(), p.total_delta.to_bits(), p.feasible))
+            .collect();
+        assert_eq!(got, pinned, "U-sweep drifted: {curve:?}");
     }
 
     #[test]
@@ -1862,7 +1766,16 @@ mod tests {
                 ))
             })
             .collect();
-        let (opt, _) = global_optimize(&tc.tree, &tc.lib, &tc.floorplan, &luts, &cfg);
+        let (opt, _) = global_optimize(
+            &tc.tree,
+            &tc.lib,
+            &tc.floorplan,
+            &luts,
+            &cfg,
+            None,
+            &mut FaultCtx::passive(),
+        )
+        .expect("CTS trees time");
         for (k, c) in tc.lib.corner_ids().enumerate() {
             let after = local_skew_ps(&pair_skews(
                 &timer.analyze(&opt, &tc.lib, c),

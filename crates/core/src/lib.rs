@@ -33,12 +33,21 @@
 //!
 //! ```no_run
 //! use clk_cts::{Testcase, TestcaseKind};
-//! use clk_skewopt::flow::{optimize, Flow, FlowConfig};
+//! use clk_skewopt::{try_optimize_with, DeltaLatencyModel, Flow, FlowConfig, StageLuts};
 //!
 //! let tc = Testcase::generate(TestcaseKind::Cls1v1, 200, 1);
-//! let report = optimize(&tc, Flow::GlobalLocal, &FlowConfig::default());
+//! let cfg = FlowConfig::default();
+//! // per-technology artifacts, reusable across designs
+//! let luts = StageLuts::characterize(&tc.lib);
+//! let model = DeltaLatencyModel::train(&tc.lib, cfg.model_kind, &cfg.train);
+//! let report = try_optimize_with(&tc, Flow::GlobalLocal, &cfg, Some(&luts), Some(&model))?;
 //! println!("variation: {:.1} -> {:.1} ps", report.variation_before, report.variation_after);
+//! # Ok::<(), clk_skewopt::FlowError>(())
 //! ```
+//!
+//! Each phase also runs on its own through [`global_optimize`] and
+//! [`local_optimize`] under a [`FaultCtx`] (`FaultCtx::passive()` for no
+//! fault injection and no deadline).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 pub mod baseline;
@@ -57,17 +66,10 @@ pub use fault::{
     FaultRecord, FaultSite, FlowBudget, FlowError, PhaseBudget, PhaseProgress, RecoveryAction,
     TreeTxn,
 };
-pub use flow::{
-    check_lint_gate, lint_gate, optimize, optimize_with, try_optimize, try_optimize_with, Flow,
-    FlowConfig, OptReport,
-};
-pub use global::{
-    global_optimize, global_optimize_checked, global_optimize_guarded, u_sweep, GlobalConfig,
-    GlobalReport, LpObjective, USweepPoint,
-};
+pub use flow::{check_lint_gate, try_optimize_with, Flow, FlowConfig, OptReport};
+pub use global::{global_optimize, u_sweep, GlobalConfig, GlobalReport, LpObjective, USweepPoint};
 pub use local::{
-    local_optimize, local_optimize_checked, local_optimize_guarded, predict_move_gain,
-    CandidateRejects, LocalConfig, LocalReport, Ranker, ScoreCtx,
+    local_optimize, predict_move_gain, CandidateRejects, LocalConfig, LocalReport, Ranker, ScoreCtx,
 };
 pub use lut::{RatioBounds, StageLuts};
 pub use moves::{apply_move, enumerate_moves, touched_drivers, Move, MoveConfig, Resize};

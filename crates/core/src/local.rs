@@ -15,8 +15,7 @@ use clk_sta::{
 };
 
 use crate::fault::{
-    FaultCtx, FaultKind, FaultPlan, FaultSite, FlowError, PhaseBudget, PhaseProgress,
-    RecoveryAction, TreeTxn,
+    FaultCtx, FaultKind, FaultPlan, FaultSite, FlowError, PhaseProgress, RecoveryAction, TreeTxn,
 };
 use crate::moves::{apply_move, enumerate_moves, touched_drivers, Move, MoveConfig};
 use crate::predictor::{analytic_feature, DeltaLatencyModel, MoveEstimator, Scratch, Topo};
@@ -329,57 +328,13 @@ impl SlotJob for EvalJob<'_> {
     }
 }
 
-/// Runs Algorithm 2 on `tree` in place.
+/// Runs Algorithm 2 on `tree` in place under a fault context (injection
+/// plan, fault log, deadline; [`FaultCtx::passive`] for none), returning
+/// typed errors instead of panicking.
 ///
-/// # Panics
-///
-/// Panics if the incoming tree cannot be timed; use
-/// [`local_optimize_checked`] for a typed error instead.
-pub fn local_optimize(
-    tree: &mut ClockTree,
-    lib: &Library,
-    fp: &Floorplan,
-    ranker: Ranker<'_>,
-    cfg: &LocalConfig,
-) -> LocalReport {
-    local_optimize_guarded(tree, lib, fp, ranker, cfg, None)
-}
-
-/// [`local_optimize`] with an explicit local-skew guard baseline
-/// (ps per corner); `None` derives it from the incoming tree. Flows pass
-/// the original tree's skews so per-phase guards do not compound.
-///
-/// # Panics
-///
-/// Panics if the incoming tree cannot be timed; use
-/// [`local_optimize_checked`] for a typed error instead.
-pub fn local_optimize_guarded(
-    tree: &mut ClockTree,
-    lib: &Library,
-    fp: &Floorplan,
-    ranker: Ranker<'_>,
-    cfg: &LocalConfig,
-    guard_baseline: Option<&[f64]>,
-) -> LocalReport {
-    let mut ctx = FaultCtx::passive();
-    match local_optimize_checked(
-        tree,
-        lib,
-        fp,
-        ranker,
-        cfg,
-        guard_baseline,
-        &mut ctx,
-        &PhaseBudget::unlimited(),
-    ) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// The checked core of Algorithm 2: runs on `tree` in place under a
-/// fault context (injection plan, fault log, deadline) and a phase
-/// budget, returning typed errors instead of panicking.
+/// `guard_baseline` is the local-skew guard baseline, ps per corner;
+/// `None` derives it from the incoming tree. Flows pass the original
+/// tree's skews so per-phase guards do not compound.
 ///
 /// Worker-thread failures (typed or panics) are isolated per candidate:
 /// a poisoned candidate is counted in [`LocalReport::rejects`] (panics
@@ -390,9 +345,10 @@ pub fn local_optimize_guarded(
 /// # Errors
 ///
 /// [`FlowError::Timing`] when the *incoming* tree cannot be timed —
-/// everything after that baseline is absorbed and degraded.
-#[allow(clippy::too_many_arguments)]
-pub fn local_optimize_checked(
+/// everything after that baseline is absorbed and degraded. A deadline
+/// cut during that baseline STA also leaves an interrupted
+/// [`PhaseProgress`] marker on `ctx`.
+pub fn local_optimize(
     tree: &mut ClockTree,
     lib: &Library,
     fp: &Floorplan,
@@ -400,7 +356,6 @@ pub fn local_optimize_checked(
     cfg: &LocalConfig,
     guard_baseline: Option<&[f64]>,
     ctx: &mut FaultCtx<'_>,
-    budget: &PhaseBudget,
 ) -> Result<LocalReport, FlowError> {
     // the coordinator's timer observes the phase deadline; candidate
     // workers deliberately do NOT (a shared deadline observed from
@@ -410,7 +365,17 @@ pub fn local_optimize_checked(
     let timer = Timer::golden().with_deadline(ctx.deadline.clone());
     let pairs: Vec<SinkPair> = tree.sink_pairs().to_vec();
     // alphas are an input parameter fixed on the incoming tree
-    let analyses0 = timer.try_analyze_all(tree, lib)?;
+    let analyses0 = timer.try_analyze_all(tree, lib).inspect_err(|e| {
+        // cut before the baseline exists: nothing to keep, one marker
+        if matches!(e, TimingError::Interrupted) {
+            ctx.progress = Some(PhaseProgress::interrupted(
+                "local",
+                0,
+                cfg.max_iterations,
+                ctx.deadline.trigger(),
+            ));
+        }
+    })?;
     let skews0 = analyses0
         .iter()
         .map(|t| try_pair_skews(t, &pairs))
@@ -459,19 +424,6 @@ pub fn local_optimize_checked(
     // the paper's guarantee: no new max-cap / max-transition violations
     let drc_baseline: usize = analyses0.iter().map(|t| t.violations().len()).sum();
 
-    let max_iterations = budget.clamp_iterations(cfg.max_iterations);
-    if max_iterations < cfg.max_iterations {
-        ctx.record(
-            "local",
-            FaultKind::IterationBudget,
-            RecoveryAction::Degrade,
-            format!(
-                "iterations capped {} -> {max_iterations}",
-                cfg.max_iterations
-            ),
-        );
-    }
-
     // resolved once per phase: the stripe width of every batch
     let workers = if cfg.workers == 0 {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -481,7 +433,7 @@ pub fn local_optimize_checked(
     obs.gauge_set("local.workers", workers as i64);
 
     let mut interrupted = false;
-    'outer: for iter in 0..max_iterations {
+    'outer: for iter in 0..cfg.max_iterations {
         let mut iter_span = obs.span_at(Level::Debug, "local.iter", vec![kv("iter", iter as u64)]);
         if ctx.out_of_time() {
             ctx.record_interrupt(
@@ -846,11 +798,11 @@ pub fn local_optimize_checked(
         PhaseProgress::interrupted(
             "local",
             report.iterations.len(),
-            max_iterations,
+            cfg.max_iterations,
             ctx.deadline.trigger(),
         )
     } else {
-        PhaseProgress::complete("local", report.iterations.len(), max_iterations)
+        PhaseProgress::complete("local", report.iterations.len(), cfg.max_iterations)
     });
     if obs.enabled() {
         let accepted = report.iterations.len();
@@ -1083,7 +1035,10 @@ mod tests {
             &tc.floorplan,
             Ranker::Analytic(Topo::Flute, WireModel::D2m),
             &quick_local(),
-        );
+            None,
+            &mut FaultCtx::passive(),
+        )
+        .expect("CTS trees time");
         tree.validate().unwrap();
         assert!(report.variation_after <= report.variation_before);
         // accepted moves must strictly decrease the tracked sum
@@ -1112,7 +1067,16 @@ mod tests {
             max_iterations: 2,
             ..quick_local()
         };
-        let report = local_optimize(&mut tree, &tc.lib, &tc.floorplan, Ranker::Ml(&model), &cfg);
+        let report = local_optimize(
+            &mut tree,
+            &tc.lib,
+            &tc.floorplan,
+            Ranker::Ml(&model),
+            &cfg,
+            None,
+            &mut FaultCtx::passive(),
+        )
+        .expect("CTS trees time");
         tree.validate().unwrap();
         assert!(report.variation_after <= report.variation_before);
     }
@@ -1127,7 +1091,10 @@ mod tests {
             &tc.floorplan,
             Ranker::Random(99),
             &quick_local(),
-        );
+            None,
+            &mut FaultCtx::passive(),
+        )
+        .expect("CTS trees time");
         // the golden gate rejects bad random moves
         assert!(report.variation_after <= report.variation_before);
     }
@@ -1139,7 +1106,7 @@ mod tests {
         plan.arm(FaultSite::WorkerPanic, 0, 2);
         let mut ctx = FaultCtx::new(Some(&plan), Deadline::none());
         let mut tree = tc.tree.clone();
-        let report = local_optimize_checked(
+        let report = local_optimize(
             &mut tree,
             &tc.lib,
             &tc.floorplan,
@@ -1147,7 +1114,6 @@ mod tests {
             &quick_local(),
             None,
             &mut ctx,
-            &PhaseBudget::unlimited(),
         )
         .expect("flow survives worker panics");
         tree.validate().unwrap();
@@ -1161,30 +1127,6 @@ mod tests {
             !plan.injected().is_empty(),
             "plan never got an opportunity to fire"
         );
-    }
-
-    #[test]
-    fn iteration_budget_degrades_and_is_logged() {
-        let tc = Testcase::generate(TestcaseKind::Cls1v1, 32, 25);
-        let mut ctx = FaultCtx::passive();
-        let mut tree = tc.tree.clone();
-        let budget = PhaseBudget {
-            wall_clock: None,
-            max_iterations: Some(1),
-        };
-        let report = local_optimize_checked(
-            &mut tree,
-            &tc.lib,
-            &tc.floorplan,
-            Ranker::Analytic(Topo::Flute, WireModel::D2m),
-            &quick_local(),
-            None,
-            &mut ctx,
-            &budget,
-        )
-        .expect("budgeted run completes");
-        assert!(report.iterations.len() <= 1);
-        assert_eq!(ctx.log.of_kind(FaultKind::IterationBudget).count(), 1);
     }
 
     /// Squares its slot; counts how often it ran.

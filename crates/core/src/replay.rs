@@ -211,7 +211,7 @@ pub fn replay_ledger(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::{optimize, Flow};
+    use crate::flow::Flow;
     use clk_cts::{Testcase, TestcaseKind};
     use clk_sta::try_pair_skews;
 
@@ -223,7 +223,7 @@ mod tests {
             ledger: true,
             ..clk_obs::ObsConfig::default()
         });
-        let report = optimize(&tc, Flow::GlobalLocal, &cfg);
+        let report = crate::flow::tests::run(&tc, Flow::GlobalLocal, &cfg);
         let records = cfg.obs.ledger().records();
         let replayed = replay_ledger(&tc.tree, &tc.lib, &tc.floorplan, &cfg, &records)
             .expect("ledger replays onto its own input");

@@ -13,7 +13,7 @@ use clk_delay::WireModel;
 use clk_netlist::ClockTree;
 use clk_skewopt::local::{local_optimize, LocalConfig, Ranker};
 use clk_skewopt::predictor::Topo;
-use clk_skewopt::{apply_move, enumerate_moves, touched_drivers, MoveConfig};
+use clk_skewopt::{apply_move, enumerate_moves, touched_drivers, FaultCtx, MoveConfig};
 use clk_sta::{CornerTiming, Timer};
 use proptest::prelude::*;
 
@@ -116,7 +116,10 @@ fn run_local(seed: u64, workers: usize) -> (Vec<String>, Vec<(u8, u64)>, u64, us
         &tc.floorplan,
         Ranker::Analytic(Topo::Flute, WireModel::D2m),
         &cfg,
-    );
+        None,
+        &mut FaultCtx::passive(),
+    )
+    .expect("CTS trees time");
     tree.validate().expect("final tree valid");
     (
         tree_digest(&tree),

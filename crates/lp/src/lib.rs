@@ -38,7 +38,6 @@
 pub mod simplex;
 
 pub use simplex::{
-    solve, solve_certified, solve_certified_with_deadline, solve_certified_with_obs,
-    solve_with_deadline, solve_with_obs, Certificate, Certified, FarkasRay, LpError, Problem,
-    RowKind, Solution, VarId, VarStatus, REDUNDANT_ROW,
+    solve, solve_certified, solve_certified_with_deadline, solve_with_deadline, Certificate,
+    Certified, FarkasRay, LpError, Problem, RowKind, Solution, VarId, VarStatus, REDUNDANT_ROW,
 };

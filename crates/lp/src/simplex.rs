@@ -643,10 +643,10 @@ impl Tableau {
 /// [`LpError::IterationLimit`]; malformed inputs panic in the builder, not
 /// here.
 pub fn solve(p: &Problem) -> Result<Solution, LpError> {
-    solve_with_obs(p, &Obs::disabled())
+    solve_with_deadline(p, &Obs::disabled(), &Deadline::none())
 }
 
-/// [`solve`] with pivot-level instrumentation.
+/// [`solve`] with pivot-level instrumentation, under a [`Deadline`].
 ///
 /// When `obs` is enabled, each solve updates the `lp.*` metrics
 /// (`lp.solves`, `lp.pivots`, `lp.bound_flips`, `lp.degenerate_pivots`,
@@ -654,21 +654,10 @@ pub fn solve(p: &Problem) -> Result<Solution, LpError> {
 /// variant) and, at `Trace` verbosity, emits one `lp.solve` span plus
 /// per-pivot `lp.pivot` events.
 ///
-/// # Errors
-///
-/// Same contract as [`solve`].
-pub fn solve_with_obs(p: &Problem, obs: &Obs) -> Result<Solution, LpError> {
-    match solve_certified_with_obs(p, obs)? {
-        Certified::Optimal(s) => Ok(s),
-        Certified::Infeasible { .. } => Err(LpError::Infeasible),
-    }
-}
-
-/// [`solve_with_obs`] under a [`Deadline`]: the pivot loop polls the
-/// deadline every [`SIMPLEX_POLL_STRIDE`] pivots and returns
-/// [`LpError::Interrupted`] when it has expired, so a multi-thousand
-/// pivot solve acknowledges cancellation within one stride instead of
-/// running to completion.
+/// The pivot loop polls the deadline every [`SIMPLEX_POLL_STRIDE`] pivots
+/// and returns [`LpError::Interrupted`] when it has expired, so a
+/// multi-thousand pivot solve acknowledges cancellation within one stride
+/// instead of running to completion; [`Deadline::none`] never expires.
 ///
 /// # Errors
 ///
@@ -693,22 +682,13 @@ pub fn solve_with_deadline(
 /// [`LpError::Unbounded`] or [`LpError::IterationLimit`]; infeasibility is
 /// a successful [`Certified::Infeasible`] outcome here.
 pub fn solve_certified(p: &Problem) -> Result<Certified, LpError> {
-    solve_certified_with_obs(p, &Obs::disabled())
+    solve_certified_with_deadline(p, &Obs::disabled(), &Deadline::none())
 }
 
-/// [`solve_certified`] with pivot-level instrumentation (same metrics
-/// contract as [`solve_with_obs`]; a [`Certified::Infeasible`] outcome
-/// counts under `lp.infeasible`).
-///
-/// # Errors
-///
-/// Same contract as [`solve_certified`].
-pub fn solve_certified_with_obs(p: &Problem, obs: &Obs) -> Result<Certified, LpError> {
-    solve_certified_with_deadline(p, obs, &Deadline::none())
-}
-
-/// [`solve_certified_with_obs`] under a [`Deadline`]; see
-/// [`solve_with_deadline`] for the interruption contract.
+/// [`solve_certified`] with pivot-level instrumentation under a
+/// [`Deadline`]; see [`solve_with_deadline`] for the metrics and
+/// interruption contract (a [`Certified::Infeasible`] outcome counts under
+/// `lp.infeasible`).
 ///
 /// # Errors
 ///

@@ -5,7 +5,7 @@
 use clk_cts::{Testcase, TestcaseKind};
 use clk_obs::{Level, Obs, ObsConfig};
 use clk_qor::{diff_snapshots, QorSnapshot, TestcaseQor, TolerancePolicy, SCHEMA_VERSION};
-use clk_skewopt::{optimize_with, Flow, FlowConfig, GlobalConfig, StageLuts};
+use clk_skewopt::{try_optimize_with, Flow, FlowConfig, GlobalConfig, StageLuts};
 
 fn tiny_global_run() -> (QorSnapshot, TestcaseQor) {
     let obs = Obs::new(ObsConfig {
@@ -24,7 +24,8 @@ fn tiny_global_run() -> (QorSnapshot, TestcaseQor) {
     cfg.obs = obs.clone();
     let tc = Testcase::generate(TestcaseKind::Cls1v1, 24, 2015);
     let luts = StageLuts::characterize(&tc.lib);
-    let report = optimize_with(&tc, Flow::Global, &cfg, Some(&luts), None);
+    let report =
+        try_optimize_with(&tc, Flow::Global, &cfg, Some(&luts), None).expect("flow completes");
     let corner_names: Vec<String> = tc.lib.corners().iter().map(|c| c.name.clone()).collect();
     let wl = clk_netlist::TreeStats::compute(&report.tree, &tc.lib).wirelength_um;
     let rec = TestcaseQor::from_report(

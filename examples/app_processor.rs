@@ -11,10 +11,10 @@
 #![allow(clippy::float_arithmetic)]
 
 use clk_cts::{Testcase, TestcaseKind};
-use clk_skewopt::{optimize_with, DeltaLatencyModel, Flow, StageLuts};
+use clk_skewopt::{try_optimize_with, DeltaLatencyModel, Flow, FlowError, StageLuts};
 use clockvar_workbench::{quick_flow_config, table5_header, table5_orig_row, table5_row};
 
-fn main() {
+fn main() -> Result<(), FlowError> {
     let n_sinks: usize = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
@@ -38,7 +38,7 @@ fn main() {
         println!("{}", table5_header(&corner_names));
         let mut printed_orig = false;
         for flow in [Flow::Global, Flow::Local, Flow::GlobalLocal] {
-            let report = optimize_with(&tc, flow, &cfg, Some(&luts), Some(&model));
+            let report = try_optimize_with(&tc, flow, &cfg, Some(&luts), Some(&model))?;
             if !printed_orig {
                 println!("{}", table5_orig_row(&report));
                 printed_orig = true;
@@ -47,4 +47,5 @@ fn main() {
         }
         println!();
     }
+    Ok(())
 }

@@ -15,7 +15,7 @@ use clk_delay::{spef::write_spef, RcTree};
 use clk_liberty::{text::write_liberty, CornerId};
 use clk_netlist::io::{parse_ctree, write_ctree, write_def, write_verilog};
 use clk_route::WireTree;
-use clk_skewopt::{optimize, Flow};
+use clk_skewopt::{try_optimize_with, DeltaLatencyModel, Flow, StageLuts};
 use clk_sta::report::report_variation;
 use clockvar_workbench::quick_flow_config;
 
@@ -28,7 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     fs::create_dir_all(&outdir)?;
 
     let tc = Testcase::generate(TestcaseKind::Cls1v1, 48, 1);
-    let report = optimize(&tc, Flow::GlobalLocal, &quick_flow_config());
+    let cfg = quick_flow_config();
+    let luts = StageLuts::characterize(&tc.lib);
+    let model = DeltaLatencyModel::train(&tc.lib, cfg.model_kind, &cfg.train);
+    let report = try_optimize_with(&tc, Flow::GlobalLocal, &cfg, Some(&luts), Some(&model))?;
     println!(
         "optimized: variation {:.1} -> {:.1} ps",
         report.variation_before, report.variation_after

@@ -13,11 +13,11 @@
 
 use clk_cts::{Testcase, TestcaseKind};
 use clk_liberty::CornerId;
-use clk_skewopt::{optimize, Flow};
+use clk_skewopt::{try_optimize_with, DeltaLatencyModel, Flow, FlowError, StageLuts};
 use clk_sta::{alpha_factors, pair_skews, skew_ratios, Timer};
 use clockvar_workbench::{quick_flow_config, table5_header, table5_orig_row, table5_row};
 
-fn main() {
+fn main() -> Result<(), FlowError> {
     let n_sinks: usize = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
@@ -41,7 +41,9 @@ fn main() {
     );
 
     let cfg = quick_flow_config();
-    let report = optimize(&tc, Flow::GlobalLocal, &cfg);
+    let luts = StageLuts::characterize(&tc.lib);
+    let model = DeltaLatencyModel::train(&tc.lib, cfg.model_kind, &cfg.train);
+    let report = try_optimize_with(&tc, Flow::GlobalLocal, &cfg, Some(&luts), Some(&model))?;
     let corner_names: Vec<String> = tc.lib.corners().iter().map(|c| c.name.clone()).collect();
     println!();
     println!("{}", table5_header(&corner_names));
@@ -77,4 +79,5 @@ fn main() {
         report.variation_after,
         100.0 * (1.0 - report.variation_ratio())
     );
+    Ok(())
 }

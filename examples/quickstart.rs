@@ -11,10 +11,10 @@
 #![allow(clippy::float_arithmetic)]
 
 use clk_cts::{Testcase, TestcaseKind};
-use clk_skewopt::{optimize, Flow};
+use clk_skewopt::{try_optimize_with, DeltaLatencyModel, Flow, FlowError, StageLuts};
 use clockvar_workbench::{quick_flow_config, table5_header, table5_orig_row, table5_row};
 
-fn main() {
+fn main() -> Result<(), FlowError> {
     let n_sinks = 64;
     println!(
         "generating {} ({n_sinks} sinks)...",
@@ -27,7 +27,9 @@ fn main() {
 
     println!("running the global-local flow (scaled-down configuration)...");
     let cfg = quick_flow_config();
-    let report = optimize(&tc, Flow::GlobalLocal, &cfg);
+    let luts = StageLuts::characterize(&tc.lib);
+    let model = DeltaLatencyModel::train(&tc.lib, cfg.model_kind, &cfg.train);
+    let report = try_optimize_with(&tc, Flow::GlobalLocal, &cfg, Some(&luts), Some(&model))?;
 
     let corner_names: Vec<String> = tc.lib.corners().iter().map(|c| c.name.clone()).collect();
     println!();
@@ -54,4 +56,5 @@ fn main() {
             l.golden_evals
         );
     }
+    Ok(())
 }

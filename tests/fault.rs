@@ -14,8 +14,8 @@ use clk_netlist::io::write_ctree;
 use clk_netlist::{ClockTree, NodeId, SinkPair};
 use clk_skewopt::predictor::Topo;
 use clk_skewopt::{
-    local_optimize_checked, try_optimize_with, Deadline, FaultCtx, FaultPlan, FaultSite, Flow,
-    FlowConfig, GlobalConfig, LocalConfig, PhaseBudget, Ranker, StageLuts, TreeTxn,
+    local_optimize, try_optimize_with, u_sweep, Deadline, FaultCtx, FaultPlan, FaultSite, Flow,
+    FlowConfig, GlobalConfig, LocalConfig, Ranker, StageLuts, TreeTxn,
 };
 
 use clk_cts::{Testcase, TestcaseKind};
@@ -64,7 +64,7 @@ fn all_panicking_workers_leave_tree_byte_identical() {
     let mut tree = tc.tree.clone();
     let before = write_ctree(&tree, &tc.lib);
     let mut ctx = FaultCtx::new(Some(&plan), Deadline::none());
-    let rep = local_optimize_checked(
+    let rep = local_optimize(
         &mut tree,
         &tc.lib,
         &tc.floorplan,
@@ -72,7 +72,6 @@ fn all_panicking_workers_leave_tree_byte_identical() {
         &quick_cfg().local,
         None,
         &mut ctx,
-        &PhaseBudget::unlimited(),
     )
     .expect("the phase absorbs worker panics");
     assert!(rep.rejects.panicked > 0, "no worker ever panicked");
@@ -193,10 +192,11 @@ proptest! {
     // each case runs full CTS generation; keep the count small
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The checked flow driver never panics on corrupted testcases: the
-    /// input gate (on in debug test builds) rejects them with a typed
+    /// The flow driver never panics on corrupted testcases: the input
+    /// gate (on in debug test builds) rejects them with a typed
     /// `FlowError`, and anything that survives comes back as a valid
-    /// report.
+    /// report. The U-sweep analysis entry rejects the structural defects
+    /// (0–3) with a typed error too.
     #[test]
     fn corrupted_testcases_yield_typed_results(seed in 0u64..200, defect in 0usize..5) {
         let mut tc = Testcase::generate(TestcaseKind::Cls1v1, 16, seed);
@@ -207,6 +207,13 @@ proptest! {
                 // typed failure is the contract; panicking is not
                 prop_assert!(!e.to_string().is_empty());
             }
+        }
+        match u_sweep(&tc.tree, &tc.lib, luts(), &quick_cfg().global, 3) {
+            Ok(curve) => {
+                prop_assert_eq!(defect, 4, "a structural defect was swept: {:?}", curve);
+                prop_assert_eq!(curve.len(), 3);
+            }
+            Err(e) => prop_assert!(!e.to_string().is_empty()),
         }
     }
 }

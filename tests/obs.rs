@@ -8,7 +8,10 @@ use std::sync::Arc;
 
 use clk_cts::{Testcase, TestcaseKind};
 use clk_obs::{json, Level, Obs, ObsConfig, SharedBuf, Value};
-use clk_skewopt::{try_optimize, FaultPlan, FaultSite, Flow, FlowConfig, OptReport};
+use clk_skewopt::{
+    try_optimize_with, DeltaLatencyModel, FaultPlan, FaultSite, Flow, FlowConfig, OptReport,
+    StageLuts,
+};
 use clockvar_workbench::quick_flow_config;
 
 /// Runs the quick global-local flow with a Debug-verbosity JSONL trace.
@@ -25,7 +28,10 @@ fn traced_run(cfg_mut: impl FnOnce(&mut FlowConfig)) -> (OptReport, Obs, Vec<Val
     cfg.obs = obs.clone();
     cfg_mut(&mut cfg);
     let tc = Testcase::generate(TestcaseKind::Cls1v1, 32, 77);
-    let report = try_optimize(&tc, Flow::GlobalLocal, &cfg).expect("instrumented flow completes");
+    let luts = StageLuts::characterize(&tc.lib);
+    let model = DeltaLatencyModel::train(&tc.lib, cfg.model_kind, &cfg.train);
+    let report = try_optimize_with(&tc, Flow::GlobalLocal, &cfg, Some(&luts), Some(&model))
+        .expect("instrumented flow completes");
     obs.flush();
     let records: Vec<Value> = buf
         .contents()
@@ -159,7 +165,10 @@ fn disabled_pipeline_emits_nothing_and_changes_nothing() {
     cfg.local.max_iterations = 1;
     cfg.obs = obs.clone();
     let tc = Testcase::generate(TestcaseKind::Cls1v1, 32, 77);
-    let report = try_optimize(&tc, Flow::GlobalLocal, &cfg).expect("flow completes untraced");
+    let luts = StageLuts::characterize(&tc.lib);
+    let model = DeltaLatencyModel::train(&tc.lib, cfg.model_kind, &cfg.train);
+    let report = try_optimize_with(&tc, Flow::GlobalLocal, &cfg, Some(&luts), Some(&model))
+        .expect("flow completes untraced");
     assert!(buf.contents().is_empty());
     assert!(obs.metrics_snapshot().is_none());
     assert!(report.variation_after <= report.variation_before);

@@ -7,7 +7,7 @@
 
 use clk_cts::{variation_sum, Testcase, TestcaseKind};
 use clk_liberty::CornerId;
-use clk_skewopt::{optimize_with, DeltaLatencyModel, Flow, StageLuts};
+use clk_skewopt::{try_optimize_with, DeltaLatencyModel, Flow, StageLuts};
 use clk_sta::{local_skew_ps, pair_skews, Timer, Violation};
 use clockvar_workbench::quick_flow_config;
 
@@ -24,9 +24,10 @@ fn global_local_beats_or_matches_each_phase_alone() {
     let tc = Testcase::generate(TestcaseKind::Cls1v1, 48, 77);
     let cfg = quick_flow_config();
     let (luts, model) = artifacts(&tc);
-    let g = optimize_with(&tc, Flow::Global, &cfg, Some(&luts), None);
-    let l = optimize_with(&tc, Flow::Local, &cfg, None, Some(&model));
-    let gl = optimize_with(&tc, Flow::GlobalLocal, &cfg, Some(&luts), Some(&model));
+    let g = try_optimize_with(&tc, Flow::Global, &cfg, Some(&luts), None).expect("flow completes");
+    let l = try_optimize_with(&tc, Flow::Local, &cfg, None, Some(&model)).expect("flow completes");
+    let gl = try_optimize_with(&tc, Flow::GlobalLocal, &cfg, Some(&luts), Some(&model))
+        .expect("flow completes");
     // none of the flows may degrade the metric
     assert!(g.variation_ratio() <= 1.0 + 1e-9);
     assert!(l.variation_ratio() <= 1.0 + 1e-9);
@@ -47,7 +48,8 @@ fn optimized_trees_stay_sane() {
     let tc = Testcase::generate(TestcaseKind::Cls1v2, 40, 78);
     let cfg = quick_flow_config();
     let (luts, model) = artifacts(&tc);
-    let report = optimize_with(&tc, Flow::GlobalLocal, &cfg, Some(&luts), Some(&model));
+    let report = try_optimize_with(&tc, Flow::GlobalLocal, &cfg, Some(&luts), Some(&model))
+        .expect("flow completes");
     let tree = &report.tree;
     tree.validate()
         .expect("tree invariants hold after both phases");
@@ -92,7 +94,8 @@ fn memory_controller_pipeline_runs() {
     assert!((tc.lib.corner(CornerId(2)).voltage - 1.10).abs() < 1e-9);
     let cfg = quick_flow_config();
     let luts = StageLuts::characterize(&tc.lib);
-    let report = optimize_with(&tc, Flow::Global, &cfg, Some(&luts), None);
+    let report =
+        try_optimize_with(&tc, Flow::Global, &cfg, Some(&luts), None).expect("flow completes");
     report.tree.validate().unwrap();
     assert!(report.variation_ratio() <= 1.0 + 1e-9);
 }
@@ -108,8 +111,10 @@ fn generation_and_optimization_are_deterministic() {
     let cfg = quick_flow_config();
     let luts_a = StageLuts::characterize(&a.lib);
     let luts_b = StageLuts::characterize(&b.lib);
-    let ra = optimize_with(&a, Flow::Global, &cfg, Some(&luts_a), None);
-    let rb = optimize_with(&b, Flow::Global, &cfg, Some(&luts_b), None);
+    let ra =
+        try_optimize_with(&a, Flow::Global, &cfg, Some(&luts_a), None).expect("flow completes");
+    let rb =
+        try_optimize_with(&b, Flow::Global, &cfg, Some(&luts_b), None).expect("flow completes");
     assert_eq!(ra.variation_after, rb.variation_after);
     assert_eq!(ra.cells_after, rb.cells_after);
 }
