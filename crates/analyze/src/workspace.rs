@@ -5,8 +5,11 @@ use std::path::{Path, PathBuf};
 use crate::{source_from_str, AnalyzeConfig, SourceFile};
 
 /// Collects every `.rs` file under `root`, skipping the config's `skip`
-/// prefixes and hidden directories. Results are sorted by path so the
-/// analyzer's own output is deterministic.
+/// prefixes, hidden directories and nested Cargo workspaces (any
+/// subdirectory whose `Cargo.toml` declares `[workspace]`: Cargo draws
+/// the same boundary, so no crate of this workspace can call into one).
+/// Results are sorted by path so the analyzer's own output is
+/// deterministic.
 ///
 /// # Errors
 ///
@@ -64,12 +67,26 @@ fn walk(
         }
         let Ok(ft) = entry.file_type() else { continue };
         if ft.is_dir() {
+            if declares_workspace(&path.join("Cargo.toml")) {
+                continue;
+            }
             walk(root, &path, cfg, out)?;
         } else if ft.is_file() && name.ends_with(".rs") {
             out.push(path);
         }
     }
     Ok(())
+}
+
+/// Whether the manifest at `manifest` exists and has a `[workspace]`
+/// table (or a `[workspace.*]` subtable).
+fn declares_workspace(manifest: &Path) -> bool {
+    std::fs::read_to_string(manifest).is_ok_and(|toml| {
+        toml.lines().map(str::trim).any(|line| {
+            line.strip_prefix("[workspace")
+                .is_some_and(|rest| rest.starts_with(']') || rest.starts_with('.'))
+        })
+    })
 }
 
 #[cfg(test)]
@@ -93,5 +110,43 @@ mod tests {
         let original = sorted.clone();
         sorted.sort_unstable();
         assert_eq!(original, sorted, "collection order must be deterministic");
+    }
+
+    #[test]
+    fn stops_at_nested_workspaces() {
+        let root = std::env::temp_dir().join(format!(
+            "clk-analyze-nested-ws-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let write = |rel: &str, body: &str| {
+            let p = root.join(rel);
+            std::fs::create_dir_all(p.parent().expect("fixture path has a parent"))
+                .expect("create fixture dir");
+            std::fs::write(p, body).expect("write fixture file");
+        };
+        write("Cargo.toml", "[workspace]\nmembers = [\"member\"]\n");
+        write("src/lib.rs", "fn a() {}\n");
+        write("member/Cargo.toml", "[package]\nname = \"member\"\n");
+        write("member/src/lib.rs", "fn b() {}\n");
+        write(
+            "nested/Cargo.toml",
+            "[package]\nname = \"nested\"\n\n# standalone\n[workspace]\n",
+        );
+        write("nested/src/main.rs", "fn c() {}\n");
+        write(
+            "subtable/Cargo.toml",
+            "[workspace.package]\nversion = \"0.1.0\"\n",
+        );
+        write("subtable/src/lib.rs", "fn d() {}\n");
+        write("lookalike/Cargo.toml", "[workspaces]\n");
+        write("lookalike/src/lib.rs", "fn e() {}\n");
+        let files = collect_sources(&root, &AnalyzeConfig::default());
+        std::fs::remove_dir_all(&root).expect("remove fixture");
+        let paths: Vec<String> = files.expect("walk").into_iter().map(|f| f.path).collect();
+        assert_eq!(
+            paths,
+            ["lookalike/src/lib.rs", "member/src/lib.rs", "src/lib.rs"]
+        );
     }
 }

@@ -13,13 +13,13 @@ use clk_cts::{Testcase, TestcaseKind};
 use clk_delay::{NetTiming, RcTree, WireModel};
 use clk_geom::{Point, Rect};
 use clk_liberty::{CornerId, Library, StdCorners, WireRc};
-use clk_lp::{Problem, RowKind};
+use clk_lp::Problem;
 use clk_netlist::Floorplan;
 use clk_obs::{Deadline, Level, Obs, ObsConfig};
 use clk_route::{rsmt, single_trunk, WireTree};
 use clk_skewopt::local::{Ranker, ScoreCtx};
 use clk_skewopt::predictor::{move_features, Topo};
-use clk_skewopt::{enumerate_moves, MoveConfig};
+use clk_skewopt::{enumerate_moves, round_problem, LpObjective, MoveConfig, StageLuts};
 use clk_sta::{alpha_factors, pair_skews, Timer};
 
 fn pins(n: usize) -> (Point, Vec<Point>) {
@@ -80,38 +80,31 @@ fn bench_timer(c: &mut Criterion) {
     g.finish();
 }
 
-/// A dense-ish random LP of ~180 rows x 120 vars.
-fn random_lp() -> Problem {
-    let mut seed = 7u64;
-    let mut next = move || {
-        seed ^= seed << 13;
-        seed ^= seed >> 7;
-        seed ^= seed << 17;
-        (seed >> 11) as f64 / (1u64 << 53) as f64
-    };
-    let mut p = Problem::new();
-    let vars: Vec<_> = (0..120)
-        .map(|_| p.add_var(0.0, 1.0 + next(), next() - 0.5).unwrap())
-        .collect();
-    for _ in 0..180 {
-        let mut terms = Vec::new();
-        for &v in &vars {
-            if next() < 0.12 {
-                terms.push((v, next() - 0.3));
-            }
-        }
-        let rhs = 1.0 + 2.0 * next();
-        p.add_row(RowKind::Le, rhs, &terms).unwrap();
-    }
-    p
+/// The flow's real LP: the first global round of the quick suite's
+/// 48-sink CLS1v1 design (seed 2015) at the sweep's first λ, ~1.3k rows.
+fn round_one_lp() -> Problem {
+    let tc = Testcase::generate(TestcaseKind::Cls1v1, 48, 2015);
+    let luts = StageLuts::characterize(&tc.lib);
+    let cfg = clockvar_workbench::quick_flow_config().global;
+    let lambda = cfg.lambdas[0];
+    round_problem(
+        &tc.tree,
+        &tc.lib,
+        &luts,
+        &cfg,
+        LpObjective::Scalarized(lambda),
+    )
+    .expect("the quick-suite tree times and builds")
 }
 
 fn bench_lp(c: &mut Criterion) {
     let mut g = c.benchmark_group("lp");
     g.sample_size(10);
-    let p = random_lp();
-    g.bench_function("simplex_180x120", |b| {
-        b.iter_batched(|| p.clone(), |p| clk_lp::solve(&p), BatchSize::SmallInput);
+    let p = round_one_lp();
+    // one solve per sample: a solve takes ~0.1 s, far above the timer's
+    // resolution, so batching would only multiply the bench's runtime
+    g.bench_function("simplex_cls1v1_48_round1", |b| {
+        b.iter_batched(|| p.clone(), |p| clk_lp::solve(&p), BatchSize::PerIteration);
     });
     g.finish();
 }
@@ -152,20 +145,20 @@ fn bench_obs(c: &mut Criterion) {
         b.iter(|| quiet.observe("bench.hist", 3.25));
     });
     // head-to-head on the LP kernel: the instrumented entry point with a
-    // disabled pipeline must track `simplex_180x120` within noise
-    let p = random_lp();
-    g.bench_function("simplex_180x120_obs_disabled", |b| {
+    // disabled pipeline must track `simplex_cls1v1_48_round1` within noise
+    let p = round_one_lp();
+    g.bench_function("simplex_cls1v1_48_round1_obs_disabled", |b| {
         b.iter_batched(
             || p.clone(),
             |p| clk_lp::solve_with_deadline(&p, &disabled, &Deadline::none()),
-            BatchSize::SmallInput,
+            BatchSize::PerIteration,
         );
     });
-    g.bench_function("simplex_180x120_obs_quiet", |b| {
+    g.bench_function("simplex_cls1v1_48_round1_obs_quiet", |b| {
         b.iter_batched(
             || p.clone(),
             |p| clk_lp::solve_with_deadline(&p, &quiet, &Deadline::none()),
-            BatchSize::SmallInput,
+            BatchSize::PerIteration,
         );
     });
     g.finish();

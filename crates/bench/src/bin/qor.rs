@@ -33,7 +33,7 @@
 
 use std::process::ExitCode;
 
-use clk_bench::{suite_cases, ExpArgs, PreparedCase};
+use clk_bench::{git_rev, suite_cases, ExpArgs, PreparedCase};
 use clk_netlist::TreeStats;
 use clk_obs::{chrome, json, Level, Obs, ObsConfig, SharedBuf, Value};
 use clk_qor::{diff_snapshots, QorSnapshot, TestcaseQor, TolerancePolicy};
@@ -68,18 +68,6 @@ fn parse_args() -> QorArgs {
         self_diff: argv.iter().any(|a| a == "--self-diff"),
         verbose: argv.iter().any(|a| a == "--verbose"),
     }
-}
-
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn main() -> ExitCode {
@@ -171,11 +159,14 @@ fn main() -> ExitCode {
     );
 
     // ---- append-only trajectory + trend across recorded runs ----
-    // provenance is (git rev, seed): deliberately no wall-clock
-    // timestamp, so the record stays reproducible and wall_now() stays
-    // confined to clk-obs (A003)
+    // provenance is (git rev, core count, seed): deliberately no
+    // wall-clock timestamp, so the record stays reproducible and
+    // wall_now() stays confined to clk-obs (A003); the core count says
+    // which machine class the per-case runtimes were measured on
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let traj_line = Value::Obj(vec![
         ("rev".to_string(), Value::from(snap.git_rev.as_str())),
+        ("nproc".to_string(), Value::from(nproc as u64)),
         ("seed".to_string(), Value::from(seed)),
         ("suite".to_string(), Value::from(suite_name)),
         (

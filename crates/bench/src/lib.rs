@@ -15,6 +15,21 @@ pub use suite::{suite_cases, PreparedCase, SuiteCase};
 
 use std::time::Instant;
 
+/// The checked-out commit as a 12-digit short hash, or `"unknown"`
+/// outside a git checkout (or without `git` on the path): the provenance
+/// stamp of recorded QoR and trace snapshots.
+pub fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short=12", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Simple elapsed-time scope guard used by the experiment binaries.
 pub struct Stopwatch {
     label: String,

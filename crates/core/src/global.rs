@@ -1179,6 +1179,29 @@ pub fn u_sweep(
     Ok(out)
 }
 
+/// The as-configured LP of Eqs. (4)–(11) that the first global round
+/// solves on `tree` for `objective`: the round's inputs built from a
+/// golden re-time of `tree`, then the formulation at the ladder's first
+/// rung, with no fault injection and no deadline. This is the flow's
+/// real LP, for benches and solver pins.
+///
+/// # Errors
+///
+/// [`FlowError::Timing`] when `tree` cannot be timed and
+/// [`FlowError::Lp`] when the builder rejects the formulation.
+pub fn round_problem(
+    tree: &ClockTree,
+    lib: &Library,
+    luts: &StageLuts,
+    cfg: &GlobalConfig,
+    objective: LpObjective,
+) -> Result<Problem, FlowError> {
+    let mut ctx = FaultCtx::passive();
+    let lp = RoundLp::build(tree, lib, luts, cfg, &mut ctx)?;
+    let (p, _) = build_problem(&lp, lib, luts, objective, cfg, &Relaxation::NONE, &mut ctx)?;
+    Ok(p)
+}
+
 fn end_load_ff(tree: &ClockTree, lib: &Library, arc: &Arc) -> f64 {
     match tree.node(arc.to).kind {
         NodeKind::Buffer(c) => lib.cell(c).input_cap_ff,

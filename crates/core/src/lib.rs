@@ -67,7 +67,9 @@ pub use fault::{
     TreeTxn,
 };
 pub use flow::{check_lint_gate, try_optimize_with, Flow, FlowConfig, OptReport};
-pub use global::{global_optimize, u_sweep, GlobalConfig, GlobalReport, LpObjective, USweepPoint};
+pub use global::{
+    global_optimize, round_problem, u_sweep, GlobalConfig, GlobalReport, LpObjective, USweepPoint,
+};
 pub use local::{
     local_optimize, predict_move_gain, CandidateRejects, LocalConfig, LocalReport, Ranker, ScoreCtx,
 };

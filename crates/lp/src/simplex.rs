@@ -1,4 +1,5 @@
-//! Bounded-variable revised primal simplex with explicit basis inverse.
+//! Bounded-variable revised primal simplex with an explicit, column-major
+//! basis inverse whose pivots touch only the entries that change.
 
 use clk_obs::{kv, Deadline, Level, Obs, SIMPLEX_POLL_STRIDE};
 
@@ -380,7 +381,8 @@ struct Tableau {
     state: Vec<State>,
     /// variable basic in each row
     basis: Vec<usize>,
-    /// dense row-major basis inverse, m×m
+    /// dense column-major basis inverse, m×m: column k is
+    /// `binv[k·m..(k+1)·m]`
     binv: Vec<f64>,
     /// values of basic variables per row
     xb: Vec<f64>,
@@ -402,32 +404,73 @@ impl Tableau {
         }
     }
 
-    /// w = B⁻¹ · A_j
+    /// Column `k` of B⁻¹.
+    fn binv_col(&self, k: usize) -> &[f64] {
+        &self.binv[k * self.m..(k + 1) * self.m]
+    }
+
+    /// w = B⁻¹ · A_j: one contiguous axpy of a B⁻¹ column per entry of
+    /// A_j, in stored order.
     fn ftran(&self, j: usize) -> Vec<f64> {
-        let m = self.m;
-        let mut w = vec![0.0; m];
+        let mut w = vec![0.0; self.m];
         for &(r, a) in &self.cols[j] {
-            for (i, wi) in w.iter_mut().enumerate() {
-                *wi += self.binv[i * m + r] * a;
+            for (wi, &b) in w.iter_mut().zip(self.binv_col(r)) {
+                *wi += b * a;
             }
         }
         w
     }
 
-    /// y = B⁻ᵀ · c_B for the given cost vector.
-    fn btran(&self, cost: &[f64]) -> Vec<f64> {
-        let m = self.m;
-        let mut y = vec![0.0; m];
-        for i in 0..m {
-            let cb = cost[self.basis[i]];
-            if cb != 0.0 {
-                let row = &self.binv[i * m..(i + 1) * m];
-                for (k, yk) in y.iter_mut().enumerate() {
-                    *yk += cb * row[k];
-                }
-            }
+    /// The rows whose basic variable has a nonzero cost, ascending, with
+    /// that cost: the only rows that contribute to `B⁻ᵀ c_B`.
+    fn cost_rows(&self, cost: &[f64]) -> Vec<(usize, f64)> {
+        self.basis
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &b)| (cost[b] != 0.0).then_some((i, cost[b])))
+            .collect()
+    }
+
+    /// y_k = (B⁻ᵀ c_B)_k, summed over `cost_rows` in ascending row order.
+    fn dual(&self, k: usize, cost_rows: &[(usize, f64)]) -> f64 {
+        let col = self.binv_col(k);
+        let mut y = 0.0;
+        for &(i, cb) in cost_rows {
+            y += cb * col[i];
         }
         y
+    }
+
+    /// y = B⁻ᵀ · c_B for the given cost vector.
+    fn btran(&self, cost: &[f64]) -> Vec<f64> {
+        let rows = self.cost_rows(cost);
+        (0..self.m).map(|k| self.dual(k, &rows)).collect()
+    }
+
+    /// Eta update of B⁻¹ for a pivot on row `r` with `w = B⁻¹ · A_j`.
+    /// Only columns with a nonzero row-`r` entry change (every other
+    /// column would only have ±0 subtracted from it); their indices are
+    /// appended to `changed`, ascending.
+    fn eta_update(&mut self, r: usize, w: &[f64], changed: &mut Vec<usize>) {
+        let piv = w[r];
+        debug_assert!(piv.abs() > 1e-12, "pivot too small");
+        let rows: Vec<(usize, f64)> = w
+            .iter()
+            .enumerate()
+            .filter(|&(i, &f)| i != r && f != 0.0)
+            .map(|(i, &f)| (i, f))
+            .collect();
+        for (k, col) in self.binv.chunks_exact_mut(self.m).enumerate() {
+            if col[r] == 0.0 {
+                continue;
+            }
+            col[r] /= piv;
+            let v = col[r];
+            for &(i, f) in &rows {
+                col[i] -= f * v;
+            }
+            changed.push(k);
+        }
     }
 
     fn reduced_cost(&self, j: usize, y: &[f64], cost: &[f64]) -> f64 {
@@ -452,6 +495,10 @@ impl Tableau {
         let mut stats = PhaseStats::default();
         let mut degen_streak = 0usize;
         let n = self.cols.len();
+        // duals of the current basis, and the B⁻¹ columns the last pivot
+        // changed (only their duals can differ from the previous ones)
+        let mut y: Vec<f64> = Vec::new();
+        let mut changed: Vec<usize> = Vec::new();
         loop {
             if stats.iters >= max_iters {
                 return Err(LpError::IterationLimit);
@@ -472,7 +519,14 @@ impl Tableau {
                 &self.cost
             };
             let pricing_prof = obs.prof_scope("pricing");
-            let y = self.btran(cost);
+            if stats.iters == 0 {
+                y = self.btran(cost);
+            } else if !changed.is_empty() {
+                let rows = self.cost_rows(cost);
+                for k in changed.drain(..) {
+                    y[k] = self.dual(k, &rows);
+                }
+            }
             // --- pricing ---
             let bland = degen_streak > 2 * self.m + 20;
             let mut enter: Option<(usize, f64, f64)> = None; // (var, dir, |d|)
@@ -609,20 +663,7 @@ impl Tableau {
                     } else {
                         State::FreeZero
                     };
-                    // eta update of B⁻¹ (pivot on row r)
-                    let m = self.m;
-                    let piv = w[r];
-                    debug_assert!(piv.abs() > 1e-12, "pivot too small");
-                    for k in 0..m {
-                        self.binv[r * m + k] /= piv;
-                    }
-                    for (i, &f) in w.iter().enumerate() {
-                        if i != r && f != 0.0 {
-                            for k in 0..m {
-                                self.binv[i * m + k] -= f * self.binv[r * m + k];
-                            }
-                        }
-                    }
+                    self.eta_update(r, &w, &mut changed);
                     self.basis[r] = j;
                     self.state[j] = State::Basic;
                     self.xb[r] = entering_val;
@@ -838,9 +879,10 @@ fn solve_inner(p: &Problem, obs: &Obs, deadline: &Deadline) -> Result<Certified,
 
     // The initial basis is slacks (+1 columns) and artificials (±1
     // columns); its inverse is diag(σ), not the identity. This is the
-    // (for now trivial) "refactor" bucket: the cost of materializing a
-    // basis inverse from scratch, which the sparse-LU rewrite will
-    // re-pay periodically instead of once.
+    // "refactor" bucket: the cost of materializing a basis inverse from
+    // scratch, paid once per solve. The m×m buffer starts as untouched
+    // zero pages, and since the eta update writes only the columns a
+    // pivot changes, pages of B⁻¹ that stay zero are never written.
     drop(setup_prof);
     let refactor_prof = obs.prof_scope("refactor");
     let mut binv = identity(m);
